@@ -42,8 +42,8 @@ import pathlib
 import sys
 from typing import Dict, Tuple
 
-from repro.cache import SCENARIOS, summary_line
 from repro.obs import scoped
+from repro.scenarios import REGISTRY
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
@@ -63,29 +63,29 @@ def run_all(seed: int) -> Tuple[Dict[str, Dict[str, object]],
     """One full pass: bare baseline, both policies cached, churn."""
     results: Dict[str, Dict[str, object]] = {}
     summaries: Dict[str, str] = {}
+    zipf, churn = REGISTRY["cache/zipf-crowd"], REGISTRY["cache/churn"]
     # Fresh observability scope per run: cache.* counters must not
     # bleed between regimes.
     with scoped():
-        results["zipf@bare"] = SCENARIOS["zipf-crowd"](seed=seed,
-                                                       cached=False)
-    summaries["zipf@bare"] = summary_line("zipf@bare", results["zipf@bare"])
+        results["zipf@bare"] = zipf.run(seed=seed, cached=False)
+    summaries["zipf@bare"] = zipf.summary_line(results["zipf@bare"],
+                                               "zipf@bare")
     for policy in POLICIES:
         key = f"zipf@{policy}"
         with scoped():
-            results[key] = SCENARIOS["zipf-crowd"](seed=seed, cached=True,
-                                                   policy=policy)
-        summaries[key] = summary_line(key, results[key])
+            results[key] = zipf.run(seed=seed, cached=True, policy=policy)
+        summaries[key] = zipf.summary_line(results[key], key)
     for policy in POLICIES:
         key = f"zipf-tight@{policy}"
         with scoped():
-            results[key] = SCENARIOS["zipf-crowd"](
+            results[key] = zipf.run(
                 seed=seed, cached=True, policy=policy,
                 sessions=TIGHT_SESSIONS,
                 edge_capacity_bytes=TIGHT_CAPACITY_BYTES)
-        summaries[key] = summary_line(key, results[key])
+        summaries[key] = zipf.summary_line(results[key], key)
     with scoped():
-        results["churn"] = SCENARIOS["churn"](seed=seed)
-    summaries["churn"] = summary_line("churn", results["churn"])
+        results["churn"] = churn.run(seed=seed)
+    summaries["churn"] = churn.summary_line(results["churn"])
     return results, summaries
 
 

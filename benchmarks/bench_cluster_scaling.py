@@ -27,8 +27,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, Tuple
 
-from repro.cluster import SCENARIOS, summary_line
 from repro.obs import scoped
+from repro.scenarios import REGISTRY
 
 SEED = 0
 SCALING_FACTOR = 1.7
@@ -40,19 +40,21 @@ def run_all(seed: int) -> Tuple[Dict[str, Dict[str, object]],
     """One full pass: read-storm at each size, node-kill, rebalance."""
     results: Dict[str, Dict[str, object]] = {}
     summaries: Dict[str, str] = {}
+    storm = REGISTRY["cluster/read-storm"]
     for nodes in NODE_COUNTS:
         key = f"read-storm@{nodes}"
         # Fresh observability scope per run: cluster.* counters must not
         # bleed between runs.
         with scoped():
-            facts = SCENARIOS["read-storm"](seed=seed, nodes=nodes)
+            facts = storm.run(seed=seed, nodes=nodes)
         results[key] = facts
-        summaries[key] = summary_line(key, facts)
+        summaries[key] = storm.summary_line(facts, key)
     for name in ("node-kill", "rebalance"):
+        scenario = REGISTRY[f"cluster/{name}"]
         with scoped():
-            facts = SCENARIOS[name](seed=seed)
+            facts = scenario.run(seed=seed)
         results[name] = facts
-        summaries[name] = summary_line(name, facts)
+        summaries[name] = scenario.summary_line(facts)
     return results, summaries
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.faults import SCENARIOS
 from repro.obs import scoped
+from repro.scenarios import resolve
 
 SEED = 7
 RECOVERY_FLOOR = 0.5
@@ -29,14 +29,14 @@ RECOVERY_FLOOR = 0.5
 
 def run_all(seed: int) -> Dict[str, Dict[bool, Dict[str, object]]]:
     results: Dict[str, Dict[bool, Dict[str, object]]] = {}
-    for name in sorted(SCENARIOS):
-        results[name] = {}
+    for scenario in resolve("all", family="faults"):
+        results[scenario.name] = {}
         for recover in (True, False):
             # Fresh observability scope per run: counters must not bleed
             # between scenarios or between the two regimes.
             with scoped():
-                results[name][recover] = SCENARIOS[name](seed=seed,
-                                                         recover=recover)
+                results[scenario.name][recover] = scenario.run(
+                    seed=seed, recover=recover)
     return results
 
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.admission import SCENARIOS, summary_line
 from repro.obs import scoped
+from repro.scenarios import resolve
 
 SEED = 7
 GOODPUT_FACTOR = 2.0
@@ -43,16 +43,17 @@ def run_all(seed: int) -> Tuple[Dict[str, Dict[bool, Dict[str, object]]],
                                 Dict[str, Dict[bool, str]]]:
     results: Dict[str, Dict[bool, Dict[str, object]]] = {}
     summaries: Dict[str, Dict[bool, str]] = {}
-    for name in sorted(SCENARIOS):
+    for scenario in resolve("all", family="overload"):
+        name = scenario.name
         results[name] = {}
         summaries[name] = {}
         for admission in (True, False):
             # Fresh observability scope per run: admission.* counters
             # must not bleed between scenarios or regimes.
             with scoped():
-                facts = SCENARIOS[name](seed=seed, admission=admission)
+                facts = scenario.run(seed=seed, admission=admission)
             results[name][admission] = facts
-            summaries[name][admission] = summary_line(name, facts)
+            summaries[name][admission] = scenario.summary_line(facts)
     return results, summaries
 
 

@@ -40,7 +40,8 @@ import sys
 from typing import Dict, Tuple
 
 from repro.obs import scoped
-from repro.soak import SEARCH_DEMO_SEED, chaos_search, day, summary_line
+from repro.scenarios import REGISTRY
+from repro.soak import SEARCH_DEMO_SEED, chaos_search, day
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
@@ -60,7 +61,7 @@ def run_all(seed: int) -> Tuple[Dict[str, Dict[str, object]],
     # between the day and the search's probe runs.
     with scoped(tracing=False):
         results["day"] = day(seed=seed)
-    summaries["day"] = summary_line("day", results["day"])
+    summaries["day"] = REGISTRY["soak/day"].summary_line(results["day"])
     results["search"] = chaos_search(chaos_seeds=[SEARCH_DEMO_SEED],
                                      seed=seed, plant_leak=True)
     return results, summaries

@@ -60,41 +60,55 @@ with the decision log armed and reconstructs the causal decision chain
 for one session (admitted -> degraded -> preempted -> failed over ...);
 without ``--session`` it lists every subject and its verdict history.
 
-``python -m repro profile <scenario>`` runs any named scenario (from
-the trace, fault, overload, cluster, or watch registry) under cProfile
+``python -m repro profile <scenario>`` runs a scenario under cProfile
 and prints the top-N hotspot report — the entry point for finding the
 next optimization target (see DESIGN.md "Performance").
+
+Every scenario lives in the one :mod:`repro.scenarios` registry.  Family
+subcommands take a name within their family (or ``all``); ``trace``,
+``explain`` and ``profile`` take any registered scenario as
+``family/name``, an alias (``surge``, ``day``, ``node-kill``,
+``herd-surge``, ``query-speech``, the family names), or a bare name
+unique across families.  An unknown or ambiguous name exits 2 and lists
+the choices.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 import repro
 from repro import AVDatabaseSystem, AttributeSpec, ClassDef, MagneticDisk, Q, VideoValue
 from repro.activities.library import ActivityCatalog
+from repro.obs import canonical_trace_bytes, current, scoped
+from repro.scenarios import REGISTRY, Scenario, resolve
 from repro.synth import fig1_timeline, moving_scene
 
 
-def _lookup_scenario(kind: str, name: str, registry,
-                     allow_all: bool = False) -> list[str] | None:
-    """Resolve a scenario argument to the list of names to run.
+#: Facts that fail a run (exit 1) when present and false: a mode
+#: diverging from its reference (index vs scan, herd vs discrete) is a
+#: correctness failure, not a tuning matter, so CI gates on the exit code.
+CHECKED_FACTS = ("all_agree", "probe_equivalent")
 
-    Returns None (after printing a consistent ``pick one of`` listing to
-    stderr) when the name is unknown — callers translate that to exit
-    code 2.  With ``allow_all`` the literal name ``all`` expands to
-    every scenario in the registry, sorted.
+
+def _resolve(name: str, family: str | None = None) -> list[Scenario] | None:
+    """:func:`repro.scenarios.resolve`, reporting a bad name on stderr.
+
+    Returns None for an unknown or ambiguous name; callers translate
+    that to exit code 2.
     """
-    if allow_all and name == "all":
-        return sorted(registry)
-    if name in registry:
-        return [name]
-    options = ", ".join(sorted(registry) + (["all"] if allow_all else []))
-    print(f"unknown {kind} scenario {name!r}; pick one of: {options}",
-          file=sys.stderr)
-    return None
+    try:
+        return resolve(name, family)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+
+
+def _takes(scenario: Scenario, knob: str) -> bool:
+    return knob in inspect.signature(scenario.run).parameters
 
 
 def tour() -> None:
@@ -133,22 +147,21 @@ def tour() -> None:
 
 def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
     """Run a scenario under a tracing scope and export trace + summary."""
-    from repro.obs import canonical_trace_bytes, current, scoped
     from repro.obs.export import write_chrome_trace, write_jsonl, write_summary
-    from repro.obs.scenarios import SCENARIOS
 
-    names = _lookup_scenario("trace", scenario_name, SCENARIOS)
-    if names is None:
+    scenarios = _resolve(scenario_name)
+    if scenarios is None:
         return 2
-    scenario = SCENARIOS[names[0]]
+    [scenario] = scenarios
+    stem = scenario_name.replace("/", "-")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with scoped(tracing=True):
-        facts = scenario()
+        facts = scenario.run()
         obs = current()
-        trace_path = out_dir / f"{scenario_name}.trace.json"
-        jsonl_path = out_dir / f"{scenario_name}.events.jsonl"
-        summary_path = out_dir / f"{scenario_name}.summary.txt"
+        trace_path = out_dir / f"{stem}.trace.json"
+        jsonl_path = out_dir / f"{stem}.events.jsonl"
+        summary_path = out_dir / f"{stem}.summary.txt"
         write_chrome_trace(obs.tracer, trace_path, obs.metrics)
         write_jsonl(obs.tracer, jsonl_path)
         write_summary(obs.metrics, summary_path, obs.tracer,
@@ -158,7 +171,7 @@ def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
             # Wall-clock stamps stripped, keys sorted: two runs of the
             # same scenario produce byte-identical files, which is what
             # the CI determinism job diffs.
-            canonical_path = out_dir / f"{scenario_name}.canonical.json"
+            canonical_path = out_dir / f"{stem}.canonical.json"
             canonical_path.write_bytes(
                 canonical_trace_bytes(obs.tracer, obs.metrics))
         events = len(obs.tracer.events)
@@ -175,204 +188,81 @@ def trace(scenario_name: str, out_dir: Path, canonical: bool = False) -> int:
     return 0
 
 
-def faults(scenario_name: str, seed: int, no_recovery: bool,
-           compare: bool) -> int:
-    """Run fault scenarios and print delivered-vs-negotiated QoS facts."""
-    from repro.faults import SCENARIOS
-    from repro.obs import scoped
+def run_family(family: str, scenario_name: str, seed: int,
+               runs: list[tuple[str, dict]], knobs: dict) -> int:
+    """Run a family subcommand: every selected scenario once per run.
 
-    names = _lookup_scenario("fault", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
+    ``runs`` pairs a header label with the run's own keywords; ``knobs``
+    (None values dropped) go to every run.  Each run gets a fresh
+    observability scope, so counters and decisions never bleed between
+    runs in one process, and prints its facts plus the summary line.
+    Exits 1 when a :data:`CHECKED_FACTS` fact comes back false, and 2
+    on an unknown name or a flag the scenario takes no keyword for.
+    """
+    scenarios = _resolve(scenario_name, family)
+    if scenarios is None:
         return 2
-
-    for name in names:
-        modes = (True, False) if compare else (not no_recovery,)
-        for recover in modes:
-            # A fresh observability scope per run keeps counters from
-            # bleeding between scenarios in one process.
-            with scoped():
-                facts = SCENARIOS[name](seed=seed, recover=recover)
-            label = "recovery" if recover else "no recovery"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
-            for key, value in facts.items():
-                print(f"  {key} = {value}")
-    return 0
-
-
-def overload(scenario_name: str, seed: int, no_admission: bool,
-             compare: bool) -> int:
-    """Run overload scenarios and print admission-vs-baseline facts."""
-    from repro.admission import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("overload", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        modes = (True, False) if compare else (not no_admission,)
-        for admission in modes:
-            # A fresh observability scope per run keeps admission.*
-            # counters from bleeding between runs in one process.
-            with scoped():
-                facts = SCENARIOS[name](seed=seed, admission=admission)
-            label = "admission" if admission else "no admission"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
-            for key, value in facts.items():
-                print(f"  {key} = {value}")
-            print(summary_line(name, facts))
-    return 0
-
-
-def cluster(scenario_name: str, seed: int, nodes: int | None) -> int:
-    """Run scale-out cluster scenarios and print scaling/failover facts."""
-    from repro.cluster import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("cluster", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        # A fresh observability scope per run keeps cluster.* counters
-        # from bleeding between scenarios in one process.
-        with scoped():
-            if nodes is None:
-                facts = SCENARIOS[name](seed=seed)
-            else:
-                facts = SCENARIOS[name](seed=seed, nodes=nodes)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-    return 0
-
-
-def cache(scenario_name: str, seed: int, no_cache: bool, compare: bool,
-          policy: str) -> int:
-    """Run cache-tier scenarios and print goodput/hit-ratio facts."""
-    import inspect
-
-    from repro.cache import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("cache", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        fn = SCENARIOS[name]
-        takes_cached = "cached" in inspect.signature(fn).parameters
-        if (no_cache or compare) and not takes_cached:
-            print(f"cache scenario {name!r} has no cache-less baseline; "
-                  f"drop --no-cache/--compare", file=sys.stderr)
+    knobs = {key: value for key, value in knobs.items() if value is not None}
+    exit_code = 0
+    for scenario in scenarios:
+        keys = set(knobs).union(*(extra for _, extra in runs))
+        unsupported = sorted(key for key in keys if not _takes(scenario, key))
+        if unsupported:
+            print(f"{family} scenario {scenario.name!r} takes no "
+                  f"{', '.join(map(repr, unsupported))} keyword; "
+                  f"drop the flag that sets it",
+                  file=sys.stderr)
             return 2
-        modes = (True, False) if compare else (not no_cache,)
-        for cached in modes:
-            # A fresh observability scope per run keeps cache.* counters
-            # from bleeding between runs in one process.
+        for label, extra in runs:
             with scoped():
-                if takes_cached:
-                    facts = fn(seed=seed, cached=cached, policy=policy)
-                else:
-                    facts = fn(seed=seed, policy=policy)
-            label = f"cached, {policy}" if cached else "no cache"
-            print(f"scenario {name!r} ({label}, seed {seed}):")
+                facts = scenario.run(seed=seed, **knobs, **extra)
+            print(f"scenario {scenario.name!r} "
+                  f"({label + ', ' if label else ''}seed {seed}):")
             for key, value in facts.items():
                 print(f"  {key} = {value}")
-            print(summary_line(name, facts))
-    return 0
-
-
-def watch(scenario_name: str, seed: int, bundle_dir: Path | None) -> int:
-    """Run supervised scenarios and print SLO/invariant facts."""
-    from repro.obs import scoped
-    from repro.watch import SCENARIOS, summary_line
-
-    names = _lookup_scenario("watch", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    for name in names:
-        # A fresh observability scope per run keeps decisions and
-        # counters from bleeding between scenarios in one process.
-        with scoped():
-            facts = SCENARIOS[name](
-                seed=seed,
-                bundle_dir=str(bundle_dir) if bundle_dir else None)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-    return 0
-
-
-def herd(scenario_name: str, seed: int, clients: int | None,
-         compare_discrete: bool) -> int:
-    """Run hybrid herd scenarios and print crowd/foreground facts."""
-    from repro.herd import SCENARIOS, summary_line
-    from repro.obs import scoped
-
-    names = _lookup_scenario("herd", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
-
-    exit_code = 0
-    for name in names:
-        # A fresh observability scope per run keeps herd.* counters
-        # from bleeding between scenarios in one process.
-        with scoped():
-            facts = SCENARIOS[name](seed=seed, clients=clients,
-                                    compare_discrete=compare_discrete)
-        print(f"scenario {name!r} (seed {seed}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-        if compare_discrete and not facts.get("probe_equivalent", False):
-            # The herd mode diverging from its discrete reference is a
-            # correctness failure, not a tuning matter — make it a
-            # non-zero exit so CI can gate on it directly.
-            exit_code = 1
+            print(scenario.summary_line(facts))
+            if any(facts.get(key) is False for key in CHECKED_FACTS):
+                exit_code = 1
     return exit_code
 
 
-def query(scenario_name: str, seed: int, mode: str) -> int:
-    """Run annotation-query scenarios and print planner/agreement facts."""
-    from repro.annotations import SCENARIOS, summary_line
-    from repro.obs import scoped
+def _toggle(label: str, off_label: str, knob: str, compare: bool,
+            off: bool) -> list[tuple[str, dict]]:
+    """Runs for flags that switch a default-on ``knob`` off, or compare.
 
-    names = _lookup_scenario("query", scenario_name, SCENARIOS,
-                             allow_all=True)
-    if names is None:
-        return 2
+    The on run passes nothing (every scenario defaults the knob to on),
+    so a scenario without the knob still runs when the flags are unset.
+    """
+    both = [(label, {}), (off_label, {knob: False})]
+    return both if compare else both[off:off + 1]
 
-    exit_code = 0
-    for name in names:
-        # A fresh observability scope per run keeps annotations.*
-        # counters and plan decisions from bleeding between scenarios.
-        with scoped(tracing=False):
-            facts = SCENARIOS[name](seed=seed, mode=mode)
-        print(f"scenario {name!r} (seed {seed}, mode {mode}):")
-        for key, value in facts.items():
-            print(f"  {key} = {value}")
-        print(summary_line(name, facts))
-        if not facts.get("all_agree", False):
-            # Index and scan paths disagreeing is a correctness failure;
-            # make it a non-zero exit so CI gates on it directly.
-            exit_code = 1
-    return exit_code
+
+def _family_runs(args) -> tuple[list[tuple[str, dict]], dict]:
+    """A family subcommand's flags as (labelled runs, shared knobs)."""
+    if args.command == "faults":
+        return _toggle("recovery", "no recovery", "recover", args.compare,
+                       args.no_recovery), {}
+    if args.command == "overload":
+        return _toggle("admission", "no admission", "admission",
+                       args.compare, args.no_admission), {}
+    if args.command == "cache":
+        return (_toggle(f"cached, {args.policy}", "no cache", "cached",
+                        args.compare, args.no_cache),
+                {"policy": args.policy})
+    if args.command == "query":
+        return [(f"mode {args.mode}", {})], {"mode": args.mode}
+    if args.command == "cluster":
+        return [("", {})], {"nodes": args.nodes}
+    if args.command == "watch":
+        return [("", {})], {"bundle_dir": str(args.bundle_dir)
+                            if args.bundle_dir else None}
+    return [("", {})], {"clients": args.clients,
+                        "compare_discrete": args.compare_discrete}
 
 
 def soak(args) -> int:
     """Run the broadcast-day soak, or the chaos search over it."""
-    from repro.obs import scoped
-    from repro.soak import chaos_search, day, default_day, summary_line
+    from repro.soak import chaos_search, day, default_day
     from repro.soak.search import _failing
 
     specs = None
@@ -399,7 +289,7 @@ def soak(args) -> int:
               f"{'no chaos' if args.no_chaos else args.profile}):")
         for key, value in facts.items():
             print(f"  {key} = {value}")
-        print(summary_line("day", facts))
+        print(REGISTRY["soak/day"].summary_line(facts))
         # Non-zero exit on the failure signature so CI can gate on the
         # clean-day acceptance criterion directly.
         return 1 if _failing(facts) else 0
@@ -423,33 +313,19 @@ def soak(args) -> int:
 
 
 def explain(scenario_name: str, session: str | None, seed: int) -> int:
-    """Rerun a scenario and reconstruct one session's decision chain.
-
-    The scenario may come from any decision-emitting registry; the
-    watch registry is preferred on a name collision, then overload,
-    cluster, and fault scenarios.
-    """
-    from repro.admission import SCENARIOS as OVERLOAD_SCENARIOS
-    from repro.cluster import SCENARIOS as CLUSTER_SCENARIOS
-    from repro.faults import SCENARIOS as FAULT_SCENARIOS
-    from repro.obs import current, scoped
-    from repro.watch import SCENARIOS as WATCH_SCENARIOS
+    """Rerun any registered scenario and reconstruct a decision chain."""
     from repro.watch.explain import explain_report, subjects_summary
 
-    registry: dict = {}
-    for scenarios in (FAULT_SCENARIOS, CLUSTER_SCENARIOS,
-                      OVERLOAD_SCENARIOS, WATCH_SCENARIOS):
-        registry.update(scenarios)  # later registries win: watch first
-
-    names = _lookup_scenario("explain", scenario_name, registry)
-    if names is None:
+    scenarios = _resolve(scenario_name)
+    if scenarios is None:
         return 2
+    [scenario] = scenarios
 
     with scoped():
-        registry[names[0]](seed=seed)
+        scenario.run(**({"seed": seed} if _takes(scenario, "seed") else {}))
         decisions = current().decisions
 
-    print(f"scenario {names[0]!r} (seed {seed}): "
+    print(f"scenario {scenario.name!r} (seed {seed}): "
           f"{len(decisions)} decision events")
     if session is not None:
         print(explain_report(decisions, session))
@@ -463,14 +339,12 @@ def explain(scenario_name: str, session: str | None, seed: int) -> int:
 def profile(scenario_name: str, top: int, sort: str,
             out: Path | None) -> int:
     """Profile a scenario and print (or write) the hotspot report."""
-    from repro.perf import available_scenarios, profile_scenario
+    from repro.perf import profile_scenario
 
     try:
         report, facts = profile_scenario(scenario_name, top=top, sort=sort)
-    except KeyError:
-        names = ", ".join(sorted(available_scenarios()))
-        print(f"unknown scenario {scenario_name!r}; pick one of: {names}",
-              file=sys.stderr)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     print(report, end="")
     if isinstance(facts, dict):
@@ -484,6 +358,18 @@ def profile(scenario_name: str, top: int, sort: str,
     return 0
 
 
+def _family_parser(sub, family: str, help: str, default: str,
+                   seed_help: str) -> argparse.ArgumentParser:
+    """A family subcommand with its scenario argument and ``--seed``."""
+    parser = sub.add_parser(family, help=help)
+    parser.add_argument("scenario", nargs="?", default=default,
+                        help=f"{family} scenario name, or 'all' "
+                             f"(default: {default})")
+    parser.add_argument("--seed", type=int, default=0,
+                        help=f"{seed_help} (default: 0)")
+    return parser
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -494,55 +380,36 @@ def main(argv=None) -> int:
         "trace", help="run a scenario with tracing and export the results"
     )
     trace_parser.add_argument("scenario", nargs="?", default="quickstart",
-                              help="scenario name (default: quickstart)")
+                              help="any registered scenario "
+                                   "(default: quickstart)")
     trace_parser.add_argument("--out", type=Path, default=Path("traces"),
                               help="output directory (default: ./traces)")
     trace_parser.add_argument("--canonical", action="store_true",
                               help="also write the canonical (wall-clock-"
                                    "stripped, rerun-diffable) trace export")
-    faults_parser = sub.add_parser(
-        "faults", help="run a seeded fault-injection scenario and report QoS"
-    )
-    faults_parser.add_argument("scenario", nargs="?", default="disk-outage",
-                               help="fault scenario name, or 'all' "
-                                    "(default: disk-outage)")
-    faults_parser.add_argument("--seed", type=int, default=0,
-                               help="fault plan seed (default: 0)")
+    faults_parser = _family_parser(
+        sub, "faults", "run a seeded fault-injection scenario and report QoS",
+        "disk-outage", "fault plan seed")
     faults_parser.add_argument("--no-recovery", action="store_true",
                                help="run without retry/degradation defenses")
     faults_parser.add_argument("--compare", action="store_true",
                                help="run both with and without recovery")
-    overload_parser = sub.add_parser(
-        "overload", help="run a seeded multi-client overload scenario "
-                         "through the admission controller"
-    )
-    overload_parser.add_argument("scenario", nargs="?", default="surge",
-                                 help="overload scenario name, or 'all' "
-                                      "(default: surge)")
-    overload_parser.add_argument("--seed", type=int, default=0,
-                                 help="workload seed (default: 0)")
+    overload_parser = _family_parser(
+        sub, "overload", "run a seeded multi-client overload scenario "
+                         "through the admission controller",
+        "surge", "workload seed")
     overload_parser.add_argument("--no-admission", action="store_true",
                                  help="run the uncontrolled baseline")
     overload_parser.add_argument("--compare", action="store_true",
                                  help="run both with and without admission")
-    cluster_parser = sub.add_parser(
-        "cluster", help="run a seeded scale-out storage cluster scenario"
-    )
-    cluster_parser.add_argument("scenario", nargs="?", default="node-kill",
-                                help="cluster scenario name, or 'all' "
-                                     "(default: node-kill)")
-    cluster_parser.add_argument("--seed", type=int, default=0,
-                                help="workload seed (default: 0)")
+    cluster_parser = _family_parser(
+        sub, "cluster", "run a seeded scale-out storage cluster scenario",
+        "node-kill", "workload seed")
     cluster_parser.add_argument("--nodes", type=int, default=None,
                                 help="override the scenario's node count")
-    cache_parser = sub.add_parser(
-        "cache", help="run a seeded cache-tier scenario against the cluster"
-    )
-    cache_parser.add_argument("scenario", nargs="?", default="zipf-crowd",
-                              help="cache scenario name, or 'all' "
-                                   "(default: zipf-crowd)")
-    cache_parser.add_argument("--seed", type=int, default=0,
-                              help="workload seed (default: 0)")
+    cache_parser = _family_parser(
+        sub, "cache", "run a seeded cache-tier scenario against the cluster",
+        "zipf-crowd", "workload seed")
     cache_parser.add_argument("--no-cache", action="store_true",
                               help="run the cache-less baseline")
     cache_parser.add_argument("--compare", action="store_true",
@@ -550,25 +417,15 @@ def main(argv=None) -> int:
     cache_parser.add_argument("--policy", default="lru",
                               choices=("lru", "cost-aware"),
                               help="eviction policy (default: lru)")
-    watch_parser = sub.add_parser(
-        "watch", help="run a scenario under the SLO/invariant watchdog"
-    )
-    watch_parser.add_argument("scenario", nargs="?", default="leak",
-                              help="watch scenario name, or 'all' "
-                                   "(default: leak)")
-    watch_parser.add_argument("--seed", type=int, default=0,
-                              help="scenario seed (default: 0)")
+    watch_parser = _family_parser(
+        sub, "watch", "run a scenario under the SLO/invariant watchdog",
+        "leak", "scenario seed")
     watch_parser.add_argument("--bundle-dir", type=Path, default=None,
                               help="write postmortem bundles here")
-    herd_parser = sub.add_parser(
-        "herd", help="run a hybrid vectorized-herd scenario "
-                     "(foreground sessions + fluid client crowds)"
-    )
-    herd_parser.add_argument("scenario", nargs="?", default="surge",
-                             help="herd scenario name, or 'all' "
-                                  "(default: surge)")
-    herd_parser.add_argument("--seed", type=int, default=0,
-                             help="population seed (default: 0)")
+    herd_parser = _family_parser(
+        sub, "herd", "run a hybrid vectorized-herd scenario "
+                     "(foreground sessions + fluid client crowds)",
+        "surge", "population seed")
     herd_parser.add_argument("--clients", type=int, default=None,
                              help="expected crowd size (default: the "
                                   "scenario's own)")
@@ -610,14 +467,9 @@ def main(argv=None) -> int:
     soak_parser.add_argument("--out", type=Path, default=None,
                              help="search: write minimized plan, report "
                                   "and replay bundles here")
-    query_parser = sub.add_parser(
-        "query", help="run an annotation-store temporal-query scenario"
-    )
-    query_parser.add_argument("scenario", nargs="?", default="speech",
-                              help="query scenario name, or 'all' "
-                                   "(default: speech)")
-    query_parser.add_argument("--seed", type=int, default=0,
-                              help="corpus seed (default: 0)")
+    query_parser = _family_parser(
+        sub, "query", "run an annotation-store temporal-query scenario",
+        "speech", "corpus seed")
     query_parser.add_argument("--mode", default="auto",
                               choices=("auto", "index", "scan"),
                               help="planner mode (default: auto)")
@@ -625,7 +477,7 @@ def main(argv=None) -> int:
         "explain", help="reconstruct a session's causal decision chain"
     )
     explain_parser.add_argument("scenario", nargs="?", default="node-kill",
-                                help="any decision-emitting scenario "
+                                help="any registered scenario "
                                      "(default: node-kill)")
     explain_parser.add_argument("--session", default=None,
                                 help="session/stream label to explain "
@@ -636,8 +488,9 @@ def main(argv=None) -> int:
         "profile", help="run a scenario under cProfile and report hotspots"
     )
     profile_parser.add_argument("scenario", nargs="?", default="quickstart",
-                                help="any trace/fault/overload scenario "
-                                     "name (default: quickstart)")
+                                help="any registered scenario: family/name, "
+                                     "an alias, or a bare name unique "
+                                     "across families (default: quickstart)")
     profile_parser.add_argument("--top", type=int, default=15,
                                 help="number of hotspots to show (default: 15)")
     profile_parser.add_argument("--sort", default="cumulative",
@@ -650,27 +503,13 @@ def main(argv=None) -> int:
         return profile(args.scenario, args.top, args.sort, args.out)
     if args.command == "trace":
         return trace(args.scenario, args.out, args.canonical)
-    if args.command == "cluster":
-        return cluster(args.scenario, args.seed, args.nodes)
-    if args.command == "cache":
-        return cache(args.scenario, args.seed, args.no_cache, args.compare,
-                     args.policy)
-    if args.command == "watch":
-        return watch(args.scenario, args.seed, args.bundle_dir)
-    if args.command == "herd":
-        return herd(args.scenario, args.seed, args.clients,
-                    args.compare_discrete)
     if args.command == "soak":
         return soak(args)
-    if args.command == "query":
-        return query(args.scenario, args.seed, args.mode)
     if args.command == "explain":
         return explain(args.scenario, args.session, args.seed)
-    if args.command == "faults":
-        return faults(args.scenario, args.seed, args.no_recovery, args.compare)
-    if args.command == "overload":
-        return overload(args.scenario, args.seed, args.no_admission,
-                        args.compare)
+    if args.command is not None:
+        runs, knobs = _family_runs(args)
+        return run_family(args.command, args.scenario, args.seed, runs, knobs)
     tour()
     return 0
 

@@ -8,8 +8,8 @@ requests by priority class and QoS contract: admit, queue with a
 deadline, degrade to a contract floor, shed, or preempt.  Faulting
 components are wrapped in :class:`CircuitBreaker` instances so overload
 never queues behind a dead resource.  :class:`OverloadWorkload` and the
-named :data:`SCENARIOS` drive seeded multi-client overload experiments
-(``python -m repro overload``).
+named scenarios in :mod:`repro.admission.scenarios` drive seeded
+multi-client overload experiments (``python -m repro overload``).
 """
 
 from repro.admission.breaker import BreakerState, CircuitBreaker
@@ -19,8 +19,7 @@ from repro.admission.controller import (
     Priority,
     QoSContract,
 )
-from repro.admission.scenarios import SCENARIOS
-from repro.admission.workload import OverloadWorkload, summary_line
+from repro.admission.workload import OverloadWorkload
 
 __all__ = [
     "AdmissionController",
@@ -30,6 +29,4 @@ __all__ = [
     "OverloadWorkload",
     "Priority",
     "QoSContract",
-    "SCENARIOS",
-    "summary_line",
 ]

@@ -21,7 +21,7 @@ Scenarios are deterministic: same seed, same facts, every run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.admission.controller import AdmissionController, Priority, QoSContract
 from repro.admission.workload import OverloadWorkload
@@ -198,10 +198,3 @@ def device_outage(seed: int = 0, admission: bool = True) -> Dict[str, object]:
         # nothing was left waiting on an open breaker or a dead scheduler.
         "stranded_requests": negotiated - accounted,
     }
-
-
-SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
-    "surge": surge,
-    "priority-mix": priority_mix,
-    "device-outage": device_outage,
-}

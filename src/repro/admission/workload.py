@@ -375,19 +375,3 @@ class OverloadWorkload:
             "stranded_processes": sim.live_processes,
         }
         return facts
-
-
-def summary_line(scenario: str, facts: Dict[str, object]) -> str:
-    """One deterministic line for CI smoke checks and the benchmark."""
-    keys = (
-        "mode", "seed", "clients", "load_factor",
-        "admitted_full", "admitted_degraded", "shed", "timeouts",
-        "preempted", "abandoned", "completed", "qos_streams",
-        "interactive_admitted", "interactive_violations",
-        "background_preempted", "interactive_timeouts",
-        "delivered_frames", "fast_failed_frames", "breaker_path",
-        "stranded_requests", "stranded_processes",
-        "goodput_bits", "virtual_seconds", "goodput_bps",
-    )
-    parts = [f"{key}={facts[key]}" for key in keys if key in facts]
-    return f"overload {scenario}: " + " ".join(parts)

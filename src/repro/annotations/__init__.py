@@ -29,7 +29,6 @@ from repro.annotations.model import (WINDOW_OPS, Annotation, AnnotationType,
 from repro.annotations.planner import PlanDecision, plan, plan_join
 from repro.annotations.query import (AQ, AnnotationJoin, AnnotationQuery,
                                      QueryResult, run, run_join)
-from repro.annotations.scenarios import SCENARIOS, summary_line
 from repro.annotations.store import AnnotationStore, TrackStats, track_sentinel
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "IntervalIndex",
     "PlanDecision",
     "QueryResult",
-    "SCENARIOS",
     "TrackStats",
     "WINDOW_OPS",
     "corpus_fingerprint",
@@ -55,6 +53,5 @@ __all__ = [
     "plan_join",
     "run",
     "run_join",
-    "summary_line",
     "track_sentinel",
 ]

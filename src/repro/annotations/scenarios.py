@@ -21,7 +21,7 @@ CI determinism job diffs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.annotations.corpus import (CorpusSpec, corpus_fingerprint,
                                       load_corpus)
@@ -30,7 +30,7 @@ from repro.annotations.query import (AQ, AnnotationJoin, AnnotationQuery,
 from repro.annotations.store import AnnotationStore
 from repro.obs import current
 
-__all__ = ["SCENARIOS", "dance", "planner", "speech", "summary_line"]
+__all__ = ["dance", "planner", "speech"]
 
 
 def _run_checked(store: AnnotationStore, queries: List[AnnotationQuery],
@@ -140,17 +140,3 @@ def planner(seed: int = 0, mode: str = "auto") -> Dict[str, object]:
     facts["broad_est_index"] = round(broad_plan.est_index, 1)
     facts["broad_est_scan"] = round(broad_plan.est_scan, 1)
     return _finish(facts)
-
-
-SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
-    "speech": speech,
-    "dance": dance,
-    "planner": planner,
-}
-
-
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run (greppable, diffable in CI)."""
-    return (f"query {name}: n={facts['annotations']} "
-            f"queries={facts['queries']} plans={facts['plans']} "
-            f"agree={facts['all_agree']}")

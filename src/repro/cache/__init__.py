@@ -33,7 +33,6 @@ from repro.cache.policy import (
     POLICIES,
     make_policy,
 )
-from repro.cache.scenarios import SCENARIOS, summary_line
 from repro.cache.tier import CacheTier
 
 __all__ = [
@@ -47,9 +46,7 @@ __all__ = [
     "HotContentDetector",
     "LRUPolicy",
     "POLICIES",
-    "SCENARIOS",
     "content_stamp",
     "make_policy",
     "span_blocks",
-    "summary_line",
 ]

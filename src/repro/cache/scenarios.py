@@ -1,6 +1,6 @@
 """Named cache scenarios for the ``python -m repro cache`` CLI.
 
-Same conventions as the cluster/fault/overload registries: fresh
+Same conventions as every :mod:`repro.scenarios` entry: fresh
 simulator inside the ambient observability scope, fully determined by
 ``(seed, knobs)``, virtual time only, flat dict of headline facts.
 
@@ -306,16 +306,3 @@ def churn(seed: int = 0, nodes: int = 4, edges: int = 2,
     _drain(sim, cluster, tier)
     facts["stranded_processes"] = sim.live_processes
     return facts
-
-
-SCENARIOS: Dict[str, object] = {
-    "zipf-crowd": zipf_crowd,
-    "churn": churn,
-}
-
-
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"cache {name}: {body}"

@@ -25,11 +25,9 @@ from repro.cluster.placement import (
     ClusterStream,
 )
 from repro.cluster.repair import RepairManager
-from repro.cluster.scenarios import SCENARIOS, summary_line
 
 __all__ = [
     "ClusterPlacement", "ClusterPlacementManager", "ClusterShard",
     "ClusterStream", "RepairManager", "StorageNode",
-    "SCENARIOS", "summary_line",
     "rank", "score", "top",
 ]

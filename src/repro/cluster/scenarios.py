@@ -1,6 +1,6 @@
 """Named cluster scenarios for the ``python -m repro cluster`` CLI.
 
-Same conventions as the fault and overload scenario registries: every
+Same conventions as every :mod:`repro.scenarios` entry: every
 scenario builds a fresh simulator inside the caller's ambient
 observability scope, is fully determined by ``(seed, nodes)``, runs in
 virtual time, and returns a flat dict of headline facts.
@@ -19,7 +19,7 @@ virtual time, and returns a flat dict of headline facts.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict
 
 from repro.admission.controller import Priority
 from repro.sim import Delay, Simulator
@@ -269,17 +269,3 @@ def rebalance(seed: int = 0, nodes: int = 3) -> Dict[str, object]:
         "virtual_seconds": round(end.seconds, 3),
         "stranded_processes": sim.live_processes,
     }
-
-
-SCENARIOS: Dict[str, object] = {
-    "read-storm": read_storm,
-    "node-kill": node_kill,
-    "rebalance": rebalance,
-}
-
-
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"cluster {name}: {body}"

@@ -29,7 +29,6 @@ from repro.faults.recovery import (
     with_deadline,
     with_retries,
 )
-from repro.faults.scenarios import SCENARIOS
 
 __all__ = [
     "KINDS",
@@ -44,5 +43,4 @@ __all__ = [
     "with_deadline",
     "supervised",
     "fire_and_forget",
-    "SCENARIOS",
 ]

@@ -13,7 +13,7 @@ Scenarios are deterministic: same seed, same facts, every run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
@@ -266,11 +266,3 @@ def degraded_session(seed: int = 0, recover: bool = True) -> Dict[str, object]:
         "faults_injected": int(metrics.counter("faults.injected").value),
         "faults_retries": int(metrics.counter("faults.retries").value),
     }
-
-
-SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
-    "disk-outage": disk_outage,
-    "lossy-channel": lossy_channel,
-    "crash-recovery": crash_recovery,
-    "degraded-session": degraded_session,
-}

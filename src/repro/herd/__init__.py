@@ -33,18 +33,15 @@ from repro.herd.equivalence import (
     run_herd,
 )
 from repro.herd.population import HerdPhase, HerdPopulation, PRIORITY_ORDER
-from repro.herd.scenarios import SCENARIOS, summary_line
 
 __all__ = [
     "HerdCoupler",
     "HerdPhase",
     "HerdPopulation",
     "PRIORITY_ORDER",
-    "SCENARIOS",
     "apportion",
     "compare",
     "equivalence_report",
     "run_discrete",
     "run_herd",
-    "summary_line",
 ]

@@ -218,24 +218,3 @@ def day(seed: int = 0, clients: Optional[int] = None,
                 capacity_streams=200, catalog_size=32, cached_assets=6,
                 fg_sessions=6, fg_start_s=5.2,
                 compare_discrete=compare_discrete)
-
-
-SCENARIOS = {
-    "surge": surge,
-    "flash": flash,
-    "day": day,
-}
-
-
-def summary_line(scenario: str, facts: Dict[str, object]) -> str:
-    """One deterministic line for CI smoke checks and the benchmark."""
-    keys = (
-        "seed", "clients_expected", "clients", "edge_served",
-        "admitted_full", "admitted_degraded", "shed", "completed",
-        "preempted", "fg_admitted", "fg_refused", "fg_preempted",
-        "fg_completed", "fg_late_elements", "cache_hit_ratio",
-        "peak_utilization", "goodput_bits", "trunk_bits",
-        "probe_equivalent", "virtual_seconds",
-    )
-    parts = [f"{key}={facts[key]}" for key in keys if key in facts]
-    return f"herd {scenario}: " + " ".join(parts)

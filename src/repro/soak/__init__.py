@@ -29,7 +29,7 @@ from repro.soak.phases import (
     default_day,
     timeline_sha256,
 )
-from repro.soak.scenarios import SCENARIOS, day, day_chaos_plan, summary_line
+from repro.soak.scenarios import day, day_chaos_plan
 from repro.soak.search import SEARCH_DEMO_SEED, chaos_search
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "timeline_sha256",
     "ChaosProfile", "PROFILES", "sample_chaos",
     "ddmin",
-    "day", "day_chaos_plan", "SCENARIOS", "summary_line",
+    "day", "day_chaos_plan",
     "chaos_search", "SEARCH_DEMO_SEED",
 ]

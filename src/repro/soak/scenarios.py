@@ -334,15 +334,3 @@ def day(seed: int = 0, phases: Optional[Sequence[PhaseSpec]] = None,
         "virtual_seconds": round(end.seconds, 3),
         "stranded_processes": sim.live_processes,
     }
-
-
-SCENARIOS: Dict[str, object] = {
-    "day": day,
-}
-
-
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"soak {name}: {body}"

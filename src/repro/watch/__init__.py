@@ -17,7 +17,7 @@ simulated AV database to *supervising* it:
   checks invariants, evaluates SLOs, and fails the run fast on breach;
 * :mod:`repro.watch.explain` — causal chains over the
   :class:`~repro.obs.DecisionLog` (``python -m repro explain``);
-* :mod:`repro.watch.scenarios` — the ``python -m repro watch`` registry.
+* :mod:`repro.watch.scenarios` — the ``python -m repro watch`` scenarios.
 
 The decision log itself lives in :mod:`repro.obs.decisions` (the
 emitters are below the watch layer); it is re-exported here because the
@@ -35,7 +35,6 @@ from repro.watch.explain import (
 )
 from repro.watch.invariants import Breach, InvariantMonitor
 from repro.watch.recorder import FlightRecorder, component_state
-from repro.watch.scenarios import SCENARIOS, summary_line
 from repro.watch.slo import SLOEngine, SLOResult, SLOSpec, default_slos
 from repro.watch.watchdog import Watchdog
 
@@ -46,7 +45,6 @@ __all__ = [
     "FlightRecorder",
     "InvariantBreachError",
     "InvariantMonitor",
-    "SCENARIOS",
     "SLOEngine",
     "SLOResult",
     "SLOSpec",
@@ -60,5 +58,4 @@ __all__ = [
     "explain_report",
     "render_event",
     "subjects_summary",
-    "summary_line",
 ]

@@ -1,6 +1,6 @@
 """Named supervision scenarios for ``python -m repro watch``.
 
-Same conventions as the fault/overload/cluster registries: every
+Same conventions as every :mod:`repro.scenarios` entry: every
 scenario builds a fresh simulator inside the caller's ambient
 observability scope, is fully determined by its arguments, runs in
 virtual time, and returns a flat dict of headline facts.
@@ -405,18 +405,3 @@ def cache_crowd(seed: int = 0,
         "virtual_seconds": round(end.seconds, 3),
         "stranded_processes": sim.live_processes,
     }
-
-
-SCENARIOS: Dict[str, object] = {
-    "leak": leak,
-    "node-kill": node_kill,
-    "slo-burn": slo_burn,
-    "cache-crowd": cache_crowd,
-}
-
-
-def summary_line(name: str, facts: Dict[str, object]) -> str:
-    """One deterministic line per run, for rerun diffing in CI."""
-    keys: List[str] = sorted(facts)
-    body = " ".join(f"{key}={facts[key]}" for key in keys)
-    return f"watch {name}: {body}"

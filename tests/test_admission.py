@@ -16,8 +16,8 @@ from repro.admission import (
     CircuitBreaker,
     Priority,
     QoSContract,
-    SCENARIOS,
 )
+from repro.admission.scenarios import device_outage
 from repro.avdb import AVDatabaseSystem
 from repro.db import AttributeSpec, ClassDef, Q
 from repro.errors import (
@@ -369,7 +369,7 @@ class TestCircuitBreaker:
         """End-to-end against a repro.faults scheduler outage: open on
         consecutive faults, half-open probes on the virtual-time timer,
         closed after the restart — and no request left stranded."""
-        facts = SCENARIOS["device-outage"](seed=3, admission=True)
+        facts = device_outage(seed=3, admission=True)
         path = str(facts["breaker_path"])
         assert path.startswith("open")
         assert "half-open" in path

@@ -431,18 +431,19 @@ class TestCorpus:
 
 class TestScenarios:
     def test_speech_scenario_agrees_and_is_deterministic(self):
-        from repro.annotations.scenarios import SCENARIOS, summary_line
+        from repro.scenarios import REGISTRY
+        speech = REGISTRY["query/speech"]
         with scoped(tracing=False):
-            first = SCENARIOS["speech"](seed=0)
+            first = speech.run(seed=0)
         with scoped(tracing=False):
-            again = SCENARIOS["speech"](seed=0)
+            again = speech.run(seed=0)
         assert first == again
         assert first["all_agree"] is True
-        assert "agree=True" in summary_line("speech", first)
+        assert "agree=True" in speech.summary_line(first)
 
     @pytest.mark.parametrize("name", ["dance", "planner"])
     def test_other_scenarios_agree(self, name):
-        from repro.annotations.scenarios import SCENARIOS
+        from repro.scenarios import REGISTRY
         with scoped(tracing=False):
-            facts = SCENARIOS[name](seed=0)
+            facts = REGISTRY[f"query/{name}"].run(seed=0)
         assert facts["all_agree"] is True

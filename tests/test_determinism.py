@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import canonical_trace_bytes, scoped
-from repro.obs.scenarios import SCENARIOS
+from repro.scenarios import resolve
 from repro.sim import Delay, Simulator, Timeout
 
 GOLDEN = json.loads(
@@ -34,7 +34,8 @@ GOLDEN = json.loads(
 
 def _run_canonical(name: str) -> bytes:
     with scoped(tracing=True) as obs:
-        SCENARIOS[name]()
+        [scenario] = resolve(name)
+        scenario.run()
         return canonical_trace_bytes(obs.tracer, obs.metrics)
 
 

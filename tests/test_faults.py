@@ -532,25 +532,25 @@ class TestScenarios:
 
     @pytest.mark.parametrize("name", ["disk-outage", "crash-recovery"])
     def test_scenarios_are_deterministic(self, name):
-        from repro.faults import SCENARIOS
         from repro.obs import scoped
+        from repro.scenarios import REGISTRY
 
         def run():
             with scoped():
-                return SCENARIOS[name](seed=11, recover=True)
+                return REGISTRY[f"faults/{name}"].run(seed=11, recover=True)
 
         assert run() == run()
 
     def test_recovery_beats_no_recovery(self):
-        from repro.faults import SCENARIOS
         from repro.obs import scoped
+        from repro.scenarios import resolve
 
-        for name, scenario in SCENARIOS.items():
+        for scenario in resolve("all", family="faults"):
             with scoped():
-                with_rec = scenario(seed=4, recover=True)["delivered_qos"]
+                with_rec = scenario.run(seed=4, recover=True)["delivered_qos"]
             with scoped():
-                without = scenario(seed=4, recover=False)["delivered_qos"]
-            assert with_rec > without, name
+                without = scenario.run(seed=4, recover=False)["delivered_qos"]
+            assert with_rec > without, scenario.name
 
 
 class TestFaultPlanComposition:

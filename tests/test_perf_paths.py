@@ -192,17 +192,19 @@ class TestAdmissionQueueDepthCounter:
 
 class TestProfileCLI:
     def test_profile_resolves_all_registries(self):
-        from repro.perf import available_scenarios, profile_scenario
+        from repro.perf import profile_scenario
+        from repro.scenarios import resolve
 
-        names = available_scenarios()
-        assert {"quickstart", "disk-outage", "surge"} <= set(names)
+        for name in ("quickstart", "disk-outage", "surge", "soak/day",
+                     "herd-surge", "query-speech"):
+            assert len(resolve(name)) == 1
         report, facts = profile_scenario("quickstart", top=5)
         assert "quickstart" in report
         assert "cumulative" in report
         assert facts["frames_presented"] > 0
 
     def test_unknown_scenario_raises(self):
-        from repro.perf import resolve_scenario
+        from repro.perf import profile_scenario
 
         with pytest.raises(KeyError, match="pick one of"):
-            resolve_scenario("definitely-not-a-scenario")
+            profile_scenario("definitely-not-a-scenario")

@@ -18,10 +18,10 @@ from repro.soak import (
     ddmin,
     default_day,
     sample_chaos,
-    summary_line,
     timeline_sha256,
 )
 from repro.soak.phases import MAX_LIVE_ELEMENTS, VOD_ELEMENTS
+from repro.scenarios import REGISTRY
 from repro.soak.scenarios import plan_sha256
 
 
@@ -209,7 +209,8 @@ class TestDaySoak:
         assert first["hit_ratio"] > 0.5
         # Byte-identical facts across reruns — the determinism gate.
         assert _facts_json(first) == _facts_json(second)
-        assert summary_line("day", first) == summary_line("day", second)
+        summary_line = REGISTRY["soak/day"].summary_line
+        assert summary_line(first) == summary_line(second)
 
     def test_sliced_day_without_chaos(self):
         specs = [s for s in default_day() if s.name == "overnight"]
@@ -304,6 +305,6 @@ class TestSoakCLI:
         assert "pick from" in capsys.readouterr().err
 
     def test_soak_scenarios_are_profilable(self):
-        from repro.perf import available_scenarios
+        from repro.scenarios import resolve
 
-        assert available_scenarios()["day"] == "soak"
+        assert [s.key for s in resolve("day")] == ["soak/day"]

@@ -11,8 +11,8 @@ from repro.obs import scoped
 from repro.obs.metrics import MetricsRegistry
 from repro.avtime import WorldTime
 from repro.sim import Delay, Simulator
+from repro.scenarios import ALIASES, REGISTRY, resolve
 from repro.watch import (
-    SCENARIOS,
     FlightRecorder,
     InvariantMonitor,
     SLOEngine,
@@ -22,7 +22,6 @@ from repro.watch import (
     explain_report,
     render_event,
     subjects_summary,
-    summary_line,
 )
 
 
@@ -277,10 +276,10 @@ def _assert_coherent_chain(chain):
 
 class TestDecisionChains:
     def test_priority_mix_preemption_chains(self):
-        from repro.admission import SCENARIOS as OVERLOAD
+        from repro.admission.scenarios import priority_mix
 
         with scoped():
-            facts = OVERLOAD["priority-mix"](seed=0, admission=True)
+            facts = priority_mix(seed=0, admission=True)
             decisions = Simulator().obs.decisions  # same ambient scope
         assert facts["background_preempted"] == 2
         preempted = {e.subject for e in decisions.by_kind("preempt")}
@@ -292,10 +291,10 @@ class TestDecisionChains:
             assert kinds.index("admit") < kinds.index("preempt")
 
     def test_surge_chains_cover_all_outcomes(self):
-        from repro.admission import SCENARIOS as OVERLOAD
+        from repro.admission.scenarios import surge
 
         with scoped():
-            OVERLOAD["surge"](seed=0, admission=True)
+            surge(seed=0, admission=True)
             decisions = Simulator().obs.decisions
         assert len(decisions) > 0
         outcomes = {e.kind for e in decisions.events}
@@ -312,7 +311,7 @@ class TestDecisionChains:
 def node_kill_run():
     """One supervised node-kill run shared by the explain tests."""
     with scoped():
-        facts = SCENARIOS["node-kill"](seed=0)
+        facts = REGISTRY["watch/node-kill"].run(seed=0)
         decisions = Simulator().obs.decisions
     return facts, decisions
 
@@ -320,7 +319,7 @@ def node_kill_run():
 class TestWatchScenarios:
     def test_leak_scenario_catches_seeded_bug(self):
         with scoped():
-            facts = SCENARIOS["leak"](seed=0)
+            facts = REGISTRY["watch/leak"].run(seed=0)
         assert facts["caught"] is True
         assert facts["breach_invariant"] == "reservation-conservation"
         assert facts["breach_component"] == "trunk"
@@ -329,15 +328,16 @@ class TestWatchScenarios:
     def test_leak_bundle_is_byte_identical_across_reruns(self):
         def run():
             with scoped():
-                return SCENARIOS["leak"](seed=0)
+                return REGISTRY["watch/leak"].run(seed=0)
 
         first, second = run(), run()
         assert first["bundle_sha256"] == second["bundle_sha256"]
-        assert summary_line("leak", first) == summary_line("leak", second)
+        summary_line = REGISTRY["watch/leak"].summary_line
+        assert summary_line(first) == summary_line(second)
 
     def test_slo_burn_reports_per_class_budgets(self):
         with scoped():
-            facts = SCENARIOS["slo-burn"](seed=0)
+            facts = REGISTRY["watch/slo-burn"].run(seed=0)
         assert set(facts["burn_by_class"]) >= {"latency", "deadline"}
         assert facts["worst_burn"] > 1.0     # the overload burns a budget
         assert facts["hard_failed"] == "none"
@@ -402,17 +402,45 @@ class TestExplain:
 # ---------------------------------------------------------------------------
 
 class TestCLI:
-    def test_lookup_scenario_helper(self, capsys):
-        from repro.__main__ import _lookup_scenario
+    def test_resolve_helper(self):
+        def keys(name, family=None):
+            return [scenario.key for scenario in resolve(name, family)]
 
-        registry = {"a": None, "b": None}
-        assert _lookup_scenario("unit", "a", registry) == ["a"]
-        assert _lookup_scenario("unit", "all", registry,
-                                allow_all=True) == ["a", "b"]
-        assert _lookup_scenario("unit", "nope", registry) is None
-        err = capsys.readouterr().err
-        assert "unknown unit scenario 'nope'" in err
-        assert "pick one of: a, b" in err
+        assert keys("leak", "watch") == ["watch/leak"]
+        assert keys("watch/leak") == ["watch/leak"]
+        assert keys("all", "cache") == ["cache/churn", "cache/zipf-crowd"]
+        with pytest.raises(KeyError) as excinfo:
+            resolve("nope", "cache")
+        assert excinfo.value.args[0] == (
+            "unknown cache scenario 'nope'; "
+            "pick one of: churn, zipf-crowd, all")
+        with pytest.raises(KeyError, match="pick one of"):
+            resolve("nope")
+
+    def test_legacy_names_resolve_to_their_pinned_owner(self):
+        pinned = {"surge": "overload/surge", "day": "soak/day",
+                  "node-kill": "watch/node-kill", "herd-day": "herd/day",
+                  "query-planner": "query/planner",
+                  "faults": "faults/disk-outage", "churn": "cache/churn"}
+        for name, key in pinned.items():
+            assert [s.key for s in resolve(name)] == [key], name
+        # Family scoping beats the aliases under a family subcommand.
+        assert [s.key for s in resolve("surge", "herd")] == ["herd/surge"]
+        assert [s.key for s in resolve("node-kill", "cluster")] == [
+            "cluster/node-kill"]
+
+    def test_ambiguous_bare_name_lists_candidates(self, monkeypatch):
+        monkeypatch.delitem(ALIASES, "surge")
+        with pytest.raises(KeyError) as excinfo:
+            resolve("surge")
+        assert excinfo.value.args[0] == (
+            "ambiguous scenario 'surge'; "
+            "pick one of: overload/surge, herd/surge")
+
+    def test_every_alias_names_a_registered_scenario(self):
+        for name, (target, kwargs) in ALIASES.items():
+            assert target in REGISTRY, name
+            assert name not in REGISTRY, name
 
     def test_watch_command_unknown_scenario_exits_2(self, capsys):
         from repro.__main__ import main
@@ -429,6 +457,36 @@ class TestCLI:
         assert "breach_invariant = reservation-conservation" in out
         assert "watch leak:" in out
         assert list(tmp_path.glob("postmortem-*.json"))
+
+    def test_explain_reaches_every_family(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["explain", "churn"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scenario 'churn' (seed 0): ")
+        assert "subjects (pass --session <id> for the full chain):" in out
+        assert "churn-" in out
+
+    def test_ci_scenario_spellings_resolve(self):
+        """Every `python -m repro <cmd> <name>` in CI names a scenario."""
+        import re
+        from pathlib import Path
+
+        ci = Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+        text = ci.read_text()
+        calls = set(re.findall(r"python -m repro (\w+) ([\w/-]+)", text))
+        loop = re.search(r"for scenario in ([\w ]+); do", text)
+        calls |= {("trace", name) for name in loop.group(1).split()}
+        checked = 0
+        for cmd, name in sorted(calls):
+            if cmd == "soak":
+                assert name in ("day", "search")
+                continue
+            # trace/explain/profile take any scenario; the rest, their own.
+            family = None if cmd in ("trace", "explain", "profile") else cmd
+            assert resolve(name, family), (cmd, name)
+            checked += 1
+        assert checked >= 20
 
     def test_explain_command_renders_chain(self, capsys):
         from repro.__main__ import main
