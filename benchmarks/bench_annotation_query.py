@@ -14,30 +14,29 @@ execution paths.  Before any speed claim, two honesty gates must pass:
 
 Usage::
 
-    python benchmarks/bench_annotation_query.py           # full run + table
-    python benchmarks/bench_annotation_query.py --smoke   # CI gate (>= 50x)
-    python benchmarks/bench_annotation_query.py --update  # record into
-                                                          # BENCH_PERF.json
+    python benchmarks/bench_annotation_query.py                 # full run + table
+    python benchmarks/bench_annotation_query.py --smoke         # CI gate (>= 50x)
+    python benchmarks/bench_annotation_query.py --update --pr N # + record PR N
 
 ``--update`` writes the ``annotation_query`` section of
-``BENCH_PERF.json``, merges the headline numbers into the PR 10
-trajectory row, and renders ``benchmarks/results/annotation_query.txt``.
-The smoke gate re-measures up to 3 times before failing so shared-CI
-noise dips don't flap the job (the pattern from ``bench_herd_scale``).
+``BENCH_PERF.json``, merges the headline numbers into PR N's trajectory
+row (created if missing), and renders
+``benchmarks/results/annotation_query.txt``.  The smoke gate re-measures
+up to 3 times before failing (``gate.remeasure``) so shared-CI noise
+dips don't flap the job.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import random
 import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import gate
+
+sys.path.insert(0, str(gate.REPO_ROOT / "src"))
 
 from repro.annotations import (  # noqa: E402
     AQ,
@@ -51,9 +50,6 @@ from repro.annotations import (  # noqa: E402
 from repro.errors import LockTimeoutError  # noqa: E402
 from repro.obs import scoped  # noqa: E402
 
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
-RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "annotation_query.txt"
-
 FULL = CorpusSpec(seed=0, values=2000, annotations=1_000_000,
                   duration_s=600.0)
 SMOKE = CorpusSpec(seed=0, values=400, annotations=120_000,
@@ -62,7 +58,6 @@ SMOKE = CorpusSpec(seed=0, values=400, annotations=120_000,
 #: the acceptance gate: the index-backed battery must beat the scan
 #: battery by at least this factor (the real margin is far beyond it).
 SPEEDUP_GATE = 50.0
-SMOKE_ATTEMPTS = 3
 
 #: "value-00000" carries the corpus's viral share — the hot, deeply
 #: annotated value a real workload would hammer.
@@ -227,87 +222,67 @@ def print_table(pair: dict, build_s: float, facts: dict,
           f"speedup {pair['speedup']:,.1f}x (gate >= {SPEEDUP_GATE:.0f}x)")
 
 
-def _prepare(spec: CorpusSpec):
-    store, facts, build_s = build_store(spec)
-    return store, facts, build_s
+def correctness(store: AnnotationStore, spec: CorpusSpec,
+                writers: int = 40) -> dict:
+    """Every untimed honesty gate: wait-die writers, join, global query."""
+    facts = check_concurrency(store, spec, writers=writers)
+    facts["join_identical"] = check_join(store)
+    facts["global_identical"] = check_global(store)
+    facts["ok"] = (facts["ok"] and facts["join_identical"]
+                   and facts["global_identical"])
+    return facts
 
 
-def cmd_run(args) -> int:
-    spec = SMOKE if args.smoke_sizes else FULL
-    with scoped(tracing=False):
-        store, facts, build_s = _prepare(spec)
-        pair = measure(store, spec)
-        print_table(pair, build_s, facts,
-                    "annotation query (index vs sequential scan)")
-        concurrency = check_concurrency(store, spec)
-        join_ok = check_join(store)
-        global_ok = check_global(store)
-    print(f"   concurrency {concurrency}")
-    print(f"   join_identical {join_ok}   global_identical {global_ok}")
-    ok = (pair["identical"] and concurrency["ok"] and join_ok
-          and global_ok)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"pair": pair, "concurrency": concurrency}, indent=2))
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
-
-
-def cmd_smoke(args) -> int:
+def cmd_smoke() -> int:
     """CI gate: equivalence + concurrency must hold and the speedup must
     clear the gate; re-measure before failing so shared-machine noise
     dips don't flap the job."""
     with scoped(tracing=False):
-        store, facts, build_s = _prepare(SMOKE)
-        concurrency = check_concurrency(store, SMOKE)
-        join_ok = check_join(store)
-        global_ok = check_global(store)
-        if not (concurrency["ok"] and join_ok and global_ok):
-            print(f"annotation-query smoke FAILED: correctness "
-                  f"{concurrency}, join_identical={join_ok}, "
-                  f"global_identical={global_ok}", file=sys.stderr)
+        store, facts, build_s = build_store(SMOKE)
+        checks = correctness(store, SMOKE)
+        if not checks["ok"]:
+            print(f"annotation-query smoke FAILED: correctness {checks}",
+                  file=sys.stderr)
             return 1
-        print(f"concurrency probe: ok ({concurrency['writer_commits']} "
-              f"writer commits, wait-die abort observed)")
-        for attempt in range(1, SMOKE_ATTEMPTS + 1):
+        print(f"concurrency probe: ok ({checks['writer_commits']} writer "
+              f"commits, wait-die abort observed)")
+
+        def attempt(heading: str) -> dict:
             pair = measure(store, SMOKE, index_repeats=2)
-            print_table(pair, build_s, facts,
-                        f"annotation-query smoke (attempt "
-                        f"{attempt}/{SMOKE_ATTEMPTS})")
-            if not pair["identical"]:
-                print("annotation-query smoke FAILED: index and scan "
-                      "rows diverge", file=sys.stderr)
-                return 1
-            if pair["speedup"] >= SPEEDUP_GATE:
-                print("annotation-query smoke ok")
-                return 0
-            if attempt < SMOKE_ATTEMPTS:
-                print("   below the gate — re-measuring to rule out "
-                      "machine noise")
-    print(f"annotation-query smoke FAILED: speedup below "
-          f"{SPEEDUP_GATE:.0f}x across {SMOKE_ATTEMPTS} attempts",
-          file=sys.stderr)
-    return 1
+            print_table(pair, build_s, facts, heading)
+            return pair
+
+        def failures(pair: dict) -> list:
+            found = [] if pair["identical"] else [
+                "index and scan rows diverge"]
+            if pair["speedup"] < SPEEDUP_GATE:
+                found.append(f"speedup {pair['speedup']:,.1f}x below "
+                             f"{SPEEDUP_GATE:.0f}x")
+            return found
+
+        return gate.remeasure("annotation-query smoke", attempt, failures)
 
 
-def cmd_update(args) -> int:
-    """Measure at full scale and record into BENCH_PERF.json."""
+def cmd_run(args) -> int:
+    """Full-scale run; ``--update`` records it into BENCH_PERF.json."""
     with scoped(tracing=False):
-        store, facts, build_s = _prepare(FULL)
+        store, facts, build_s = build_store(FULL)
         pair = measure(store, FULL)
-        print_table(pair, build_s, facts, "annotation query (full)")
-        concurrency = check_concurrency(store, FULL)
-        join_ok = check_join(store)
-        global_ok = check_global(store)
-    if not (pair["identical"] and concurrency["ok"] and join_ok
-            and global_ok):
-        print("refusing to record: correctness gates failed",
-              file=sys.stderr)
+        print_table(pair, build_s, facts,
+                    "annotation query (index vs sequential scan)")
+        checks = correctness(store, FULL)
+    print(f"   correctness {checks}")
+    if not (pair["identical"] and checks["ok"]):
+        if args.update:
+            print("refusing to record: correctness gates failed",
+                  file=sys.stderr)
         return 1
+    if not args.update:
+        return 0
 
-    doc = json.loads(PERF_PATH.read_text()) if PERF_PATH.exists() else {
-        "schema": 1, "trajectory": []}
-    doc["annotation_query"] = {
+    speedup = round(pair["speedup"], 1)
+    index_per_s = round(pair["index"]["queries_per_s"], 1)
+    section = {
         "seed": FULL.seed,
         "gate_speedup": SPEEDUP_GATE,
         "annotations": facts["annotations"],
@@ -318,27 +293,17 @@ def cmd_update(args) -> int:
         "battery_rows": pair["index"]["rows"],
         "index_wall_s": round(pair["index"]["wall_s"], 5),
         "scan_wall_s": round(pair["scan"]["wall_s"], 3),
-        "index_queries_per_s": round(pair["index"]["queries_per_s"], 1),
+        "index_queries_per_s": index_per_s,
         "scan_queries_per_s": round(pair["scan"]["queries_per_s"], 2),
         "identical_rows": pair["identical"],
-        "waitdie_abort": concurrency["waitdie_abort"],
-        "writer_commits": concurrency["writer_commits"],
-        "speedup": round(pair["speedup"], 1),
+        "waitdie_abort": checks["waitdie_abort"],
+        "writer_commits": checks["writer_commits"],
+        "speedup": speedup,
     }
-    rows = doc.setdefault("trajectory", [])
-    row = next((e for e in rows if e.get("pr") == args.pr), None)
-    if row is None:
-        row = {"pr": args.pr,
-               "label": f"PR {args.pr} annotation store + temporal "
-                        f"query engine"}
-        rows.append(row)
-    row["annotation_query_speedup"] = round(pair["speedup"], 1)
-    row["annotation_index_queries_per_s"] = round(
-        pair["index"]["queries_per_s"], 1)
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {PERF_PATH}")
-
-    lines = [
+    gate.record(args.pr, row={"annotation_query_speedup": speedup,
+                              "annotation_index_queries_per_s": index_per_s},
+                section="annotation_query", payload=section)
+    gate.write_result("annotation_query", "\n".join([
         "annotation query — index-backed vs sequential-scan execution",
         f"corpus: {facts['annotations']:,} annotations / "
         f"{facts['values']:,} values / {facts['tracks']:,} tracks "
@@ -351,13 +316,10 @@ def cmd_update(args) -> int:
         f"{pair['scan']['queries_per_s']:>10,.2f}/s",
         f"speedup {pair['speedup']:,.1f}x (gate >= {SPEEDUP_GATE:.0f}x), "
         f"identical rows: {pair['identical']}",
-        f"concurrency: {concurrency['writer_commits']} writer commits, "
-        f"wait-die abort: {concurrency['waitdie_abort']}, "
-        f"agree after writes: {concurrency['agree_after_writes']}",
-    ]
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(lines) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+        f"concurrency: {checks['writer_commits']} writer commits, "
+        f"wait-die abort: {checks['waitdie_abort']}, "
+        f"agree after writes: {checks['agree_after_writes']}",
+    ]))
     return 0
 
 
@@ -366,32 +328,27 @@ def test_annotation_query_smoke() -> None:
     spec = CorpusSpec(seed=0, values=60, annotations=12_000,
                       duration_s=600.0)
     with scoped(tracing=False):
-        store, _, _ = _prepare(spec)
+        store, _, _ = build_store(spec)
         for query in battery(spec):
             assert (run(store, query, mode="index").rows
                     == run(store, query, mode="scan").rows), query.describe()
-        concurrency = check_concurrency(store, spec, writers=12)
-        assert concurrency["ok"], concurrency
-        assert check_join(store)
-        assert check_global(store)
+        checks = correctness(store, spec, writers=12)
+        assert checks["ok"], checks
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: equivalence + speedup floor")
-    parser.add_argument("--smoke-sizes", action="store_true",
-                        help="plain run with the smoke corpus size")
     parser.add_argument("--update", action="store_true",
                         help="write BENCH_PERF.json annotation_query section")
-    parser.add_argument("--json", default=None,
-                        help="dump raw results to file")
-    parser.add_argument("--pr", type=int, default=10)
+    parser.add_argument("--pr", type=int, default=None,
+                        help="trajectory row --update records into (required)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return cmd_smoke(args)
-    if args.update:
-        return cmd_update(args)
+        return cmd_smoke()
+    if args.update and args.pr is None:
+        parser.error("--update needs --pr N")
     return cmd_run(args)
 
 

@@ -9,29 +9,28 @@ not a result.
 
 Usage::
 
-    python benchmarks/bench_herd_scale.py                # full run + table
-    python benchmarks/bench_herd_scale.py --smoke        # CI gate (>= 50x)
-    python benchmarks/bench_herd_scale.py --update       # record into
-                                                         # BENCH_PERF.json
+    python benchmarks/bench_herd_scale.py                  # full run + table
+    python benchmarks/bench_herd_scale.py --smoke          # CI gate (>= 50x)
+    python benchmarks/bench_herd_scale.py --update --pr N  # + record PR N
 
 The full run drives the herd at 10^5 clients against a discrete
 reference at 4x10^3 (running 10^5 discrete clients is exactly the cost
 this mode exists to avoid); ``--update`` writes the ``herd_scale``
 section of ``BENCH_PERF.json`` and merges ``clients_simulated_per_s``
-into the current PR's trajectory row.  The smoke gate re-measures up to
-3 times before failing so shared-CI noise dips don't flap the job.
+into PR N's trajectory row (created if missing).  The smoke gate
+re-measures up to 3 times before failing (``gate.remeasure``) so
+shared-CI noise dips don't flap the job.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import gate
+
+sys.path.insert(0, str(gate.REPO_ROOT / "src"))
 
 from repro.herd.equivalence import (  # noqa: E402
     equivalence_report,
@@ -39,9 +38,6 @@ from repro.herd.equivalence import (  # noqa: E402
     run_herd,
 )
 from repro.herd.population import HerdPhase, HerdPopulation  # noqa: E402
-
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
-RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "herd_scale.txt"
 
 STREAM_BPS = 1_000_000.0
 EPOCH_S = 0.05
@@ -56,7 +52,6 @@ SMOKE = {"herd_clients": 50_000, "discrete_clients": 1_000}
 #: the acceptance gate: herd clients/s must beat discrete clients/s by
 #: at least this factor (the real margin is orders beyond it).
 SPEEDUP_GATE = 50.0
-SMOKE_ATTEMPTS = 3
 
 #: the equivalence probe's expected population size.
 PROBE_CLIENTS = 240
@@ -104,13 +99,23 @@ def measure(mode: str, clients: int, seed: int = 0) -> dict:
     }
 
 
-def check_equivalence(seed: int = 0) -> dict:
-    """The honesty gate: herd == discrete on a small same-seed run."""
+def equivalence_probe(seed: int = 0):
+    """The honesty gate: herd == discrete on a small same-seed run.
+
+    Returns the report, or None (mismatches on stderr) on divergence.
+    """
     population = _population(PROBE_CLIENTS, seed)
     report = equivalence_report(population,
                                 capacity_bps=_capacity_bps(PROBE_CLIENTS),
                                 stream_bps=STREAM_BPS,
                                 session_epochs=SESSION_EPOCHS)
+    if not report["equivalent"]:
+        print("equivalence probe FAILED: herd diverges from the discrete "
+              "kernel:", file=sys.stderr)
+        for line in report["mismatches"]:
+            print(f"   {line}", file=sys.stderr)
+        return None
+    print(f"equivalence probe ({report['clients']} clients): ok")
     return report
 
 
@@ -139,66 +144,43 @@ def print_table(pair: dict, title: str) -> None:
           f"(gate >= {SPEEDUP_GATE:.0f}x)")
 
 
-def cmd_run(args) -> int:
-    report = check_equivalence()
-    verdict = "ok" if report["equivalent"] else "FAILED"
-    print(f"equivalence probe ({report['clients']} clients): {verdict}")
-    if not report["equivalent"]:
-        for line in report["mismatches"]:
-            print(f"   {line}", file=sys.stderr)
-        return 1
-    pair = run_pair(SMOKE if args.smoke_sizes else FULL)
-    print_table(pair, "herd scale (clients simulated per second)")
-    if args.json:
-        Path(args.json).write_text(json.dumps(pair, indent=2))
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_smoke(args) -> int:
+def cmd_smoke() -> int:
     """CI gate: equivalence must hold and the speedup must clear the
     gate; re-measure before failing so shared-machine noise dips (which
     depress the herd run more than the discrete one, or vice versa)
     don't flap the job."""
-    report = check_equivalence()
-    if not report["equivalent"]:
-        print("herd-scale smoke FAILED: herd diverges from the discrete "
-              "kernel:", file=sys.stderr)
-        for line in report["mismatches"]:
-            print(f"   {line}", file=sys.stderr)
+    if equivalence_probe() is None:
         return 1
-    print(f"equivalence probe ({report['clients']} clients): ok")
-    for attempt in range(1, SMOKE_ATTEMPTS + 1):
+
+    def attempt(heading: str) -> dict:
         pair = run_pair(SMOKE, repeats=2)
-        print_table(pair, f"herd-scale smoke (attempt "
-                          f"{attempt}/{SMOKE_ATTEMPTS})")
+        print_table(pair, heading)
+        return pair
+
+    def failures(pair: dict) -> list:
         if pair["speedup"] >= SPEEDUP_GATE:
-            print("herd-scale smoke ok")
-            return 0
-        if attempt < SMOKE_ATTEMPTS:
-            print("   below the gate — re-measuring to rule out "
-                  "machine noise")
-    print(f"herd-scale smoke FAILED: speedup below {SPEEDUP_GATE:.0f}x "
-          f"across {SMOKE_ATTEMPTS} attempts", file=sys.stderr)
-    return 1
+            return []
+        return [f"speedup {pair['speedup']:,.1f}x below {SPEEDUP_GATE:.0f}x"]
+
+    return gate.remeasure("herd-scale smoke", attempt, failures)
 
 
-def cmd_update(args) -> int:
-    """Measure at full scale and record into BENCH_PERF.json."""
-    report = check_equivalence()
-    if not report["equivalent"]:
-        print("refusing to record: herd diverges from the discrete kernel",
-              file=sys.stderr)
-        for line in report["mismatches"]:
-            print(f"   {line}", file=sys.stderr)
+def cmd_run(args) -> int:
+    """Full-scale run; ``--update`` records it into BENCH_PERF.json."""
+    report = equivalence_probe()
+    if report is None:
+        if args.update:
+            print("refusing to record: herd diverges from the discrete "
+                  "kernel", file=sys.stderr)
         return 1
-    print(f"equivalence probe ({report['clients']} clients): ok")
     pair = run_pair(FULL)
-    print_table(pair, "herd scale (full)")
+    print_table(pair, "herd scale (clients simulated per second)")
+    if not args.update:
+        return 0
 
-    doc = json.loads(PERF_PATH.read_text()) if PERF_PATH.exists() else {
-        "schema": 1, "trajectory": []}
-    doc["herd_scale"] = {
+    herd_per_s = round(pair["herd"]["clients_per_s"], 1)
+    speedup = round(pair["speedup"], 1)
+    section = {
         "seed": 0,
         "gate_speedup": SPEEDUP_GATE,
         "equivalence_clients": report["clients"],
@@ -207,33 +189,23 @@ def cmd_update(args) -> int:
         "herd_wall_s": round(pair["herd"]["wall_s"], 4),
         "discrete_clients": pair["discrete"]["clients"],
         "discrete_wall_s": round(pair["discrete"]["wall_s"], 4),
-        "clients_simulated_per_s": round(pair["herd"]["clients_per_s"], 1),
+        "clients_simulated_per_s": herd_per_s,
         "discrete_clients_per_s": round(
             pair["discrete"]["clients_per_s"], 1),
-        "speedup": round(pair["speedup"], 1),
+        "speedup": speedup,
     }
-    # Surface the headline metric on this PR's trajectory row too.
-    for entry in doc.get("trajectory", []):
-        if entry.get("pr") == args.pr:
-            entry["clients_simulated_per_s"] = round(
-                pair["herd"]["clients_per_s"], 1)
-            entry["herd_scale_speedup"] = round(pair["speedup"], 1)
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {PERF_PATH}")
-
-    lines = [
+    gate.record(args.pr, row={"clients_simulated_per_s": herd_per_s,
+                              "herd_scale_speedup": speedup},
+                section="herd_scale", payload=section)
+    gate.write_result("herd_scale", "\n".join([
         "herd scale — clients simulated per wall-clock second",
-        f"equivalence probe: {report['clients']} clients, "
-        f"{'ok' if report['equivalent'] else 'FAILED'}",
+        f"equivalence probe: {report['clients']} clients, ok",
         f"herd     {pair['herd']['clients']:>8,} clients  "
         f"{pair['herd']['clients_per_s']:>14,.0f}/s",
         f"discrete {pair['discrete']['clients']:>8,} clients  "
         f"{pair['discrete']['clients_per_s']:>14,.0f}/s",
         f"speedup  {pair['speedup']:,.1f}x (gate >= {SPEEDUP_GATE:.0f}x)",
-    ]
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(lines) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+    ]))
     return 0
 
 
@@ -241,18 +213,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: equivalence + speedup floor")
-    parser.add_argument("--smoke-sizes", action="store_true",
-                        help="plain run with the smoke workload sizes")
     parser.add_argument("--update", action="store_true",
                         help="write BENCH_PERF.json herd_scale section")
-    parser.add_argument("--json", default=None,
-                        help="dump raw results to file")
-    parser.add_argument("--pr", type=int, default=9)
+    parser.add_argument("--pr", type=int, default=None,
+                        help="trajectory row --update records into (required)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return cmd_smoke(args)
-    if args.update:
-        return cmd_update(args)
+        return cmd_smoke()
+    if args.update and args.pr is None:
+        parser.error("--update needs --pr N")
     return cmd_run(args)
 
 

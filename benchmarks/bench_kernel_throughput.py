@@ -21,14 +21,15 @@ Usage::
     python benchmarks/bench_kernel_throughput.py                 # run + table
     python benchmarks/bench_kernel_throughput.py --json out.json # + raw dump
     python benchmarks/bench_kernel_throughput.py --smoke         # CI gate
-    python benchmarks/bench_kernel_throughput.py --update \
-        [--baseline-json baseline.json]   # (re)write BENCH_PERF.json entry
+    python benchmarks/bench_kernel_throughput.py --update --pr N \
+        [--label L] [--baseline-json baseline.json]  # record PR N's row
 
 ``BENCH_PERF.json`` at the repo root is the performance trajectory file:
 one entry per PR that touched performance, each holding the machine
 calibration score and the raw + normalized throughput of every metric,
 with the pre-optimization baseline of this PR kept alongside for the
-record.
+record.  ``--update`` merges into PR N's row (see ``gate.record``), so
+the herd and annotation benches' fields on the same row survive.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import sys
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import gate
+
+sys.path.insert(0, str(gate.REPO_ROOT / "src"))
 
 from repro.avtime import WorldTime  # noqa: E402
 from repro.codecs.dct import JPEGCodec  # noqa: E402
@@ -53,9 +55,6 @@ from repro.streams.element import END_OF_STREAM, StreamElement  # noqa: E402
 from repro.synth import moving_scene  # noqa: E402
 from repro.values.mediatype import standard_type  # noqa: E402
 
-PERF_PATH = REPO_ROOT / "BENCH_PERF.json"
-RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "kernel_throughput.txt"
-
 #: full-run workload sizes.
 FULL = {"procs": 200, "iters": 120, "elements": 20_000, "frames": 48,
         "frame_w": 96, "frame_h": 64}
@@ -64,7 +63,6 @@ SMOKE = {"procs": 60, "iters": 50, "elements": 4_000, "frames": 16,
          "frame_w": 96, "frame_h": 64}
 
 SMOKE_TOLERANCE = 0.10  # >10% normalized regression fails the gate
-SMOKE_ATTEMPTS = 3  # re-measure before failing: noise dips don't persist
 
 
 # ---------------------------------------------------------------------------
@@ -239,105 +237,85 @@ def print_table(results: dict, calibration: float, title: str) -> None:
 # modes
 # ---------------------------------------------------------------------------
 
-def cmd_run(args) -> int:
-    calibration = calibration_score()
-    results = run_suite(SMOKE if args.smoke_sizes else FULL)
-    print_table(results, calibration, "kernel/stream/codec throughput")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"calibration": calibration, "results": results}, indent=2))
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_smoke(args) -> int:
+def cmd_smoke() -> int:
     """CI gate: normalized throughput must stay within tolerance of the
-    last committed trajectory entry's smoke numbers.
+    smoke numbers on the last trajectory row that carries them.
 
     Shared CI machines see transient contention bursts that depress the
     workloads far more than the calibration loop, so a failing attempt
-    is re-measured (fresh calibration included) before the gate fails: a
-    real regression persists across attempts, a noise dip does not.
+    is re-measured, fresh calibration included (``gate.remeasure``).
     """
-    if not PERF_PATH.exists():
-        print(f"missing {PERF_PATH}; run --update first", file=sys.stderr)
+    rows = (json.loads(gate.PERF_PATH.read_text())["trajectory"]
+            if gate.PERF_PATH.exists() else [])
+    committed = next((row["smoke_normalized"] for row in reversed(rows)
+                      if "smoke_normalized" in row), None)
+    if committed is None:
+        print(f"no smoke numbers in {gate.PERF_PATH}; run --update first",
+              file=sys.stderr)
         return 2
-    doc = json.loads(PERF_PATH.read_text())
-    entry = doc["trajectory"][-1]
-    committed = entry["smoke_normalized"]
-    failures = []
-    for attempt in range(1, SMOKE_ATTEMPTS + 1):
+
+    def attempt(heading: str) -> dict:
         calibration = calibration_score()
         results = run_suite(SMOKE, repeats=3)
-        print_table(results, calibration,
-                    f"perf smoke (CI gate, attempt {attempt}/{SMOKE_ATTEMPTS})")
-        failures = []
+        print_table(results, calibration, heading)
+        return normalized(results, calibration)
+
+    def failures(measured: dict) -> list:
+        found = []
         for name in METRICS:
-            measured = results[name] / calibration
             floor = committed[name] * (1.0 - SMOKE_TOLERANCE)
-            status = "ok" if measured >= floor else "REGRESSION"
-            print(f"   {name:<24} normalized {measured:.4f} vs committed "
-                  f"{committed[name]:.4f} (floor {floor:.4f}) {status}")
-            if measured < floor:
-                failures.append(name)
-        if not failures:
-            print("perf-smoke ok")
-            return 0
-        if attempt < SMOKE_ATTEMPTS:
-            print(f"   regression in {', '.join(failures)} — re-measuring "
-                  f"to rule out machine noise")
-    print(f"perf-smoke FAILED: >{SMOKE_TOLERANCE:.0%} regression in "
-          f"{', '.join(failures)} across {SMOKE_ATTEMPTS} attempts",
-          file=sys.stderr)
-    return 1
+            status = "ok" if measured[name] >= floor else "REGRESSION"
+            print(f"   {name:<24} normalized {measured[name]:.4f} vs "
+                  f"committed {committed[name]:.4f} (floor {floor:.4f}) "
+                  f"{status}")
+            if measured[name] < floor:
+                found.append(f">{SMOKE_TOLERANCE:.0%} regression in {name}")
+        return found
+
+    return gate.remeasure("perf smoke", attempt, failures)
 
 
-def cmd_update(args) -> int:
-    """Measure and (re)write the trajectory entry + results file."""
+def cmd_run(args) -> int:
+    """Full-workload table; ``--update`` also merges PR ``--pr``'s
+    trajectory row and rewrites the results file."""
     calibration = calibration_score()
     full = run_suite(FULL)
+    print_table(full, calibration, "kernel/stream/codec throughput")
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"calibration": calibration, "results": full}, indent=2))
+        print(f"wrote {args.json}")
+    if not args.update:
+        return 0
     # Commit the per-metric *median* of several smoke runs: a single
     # lucky sample would set the CI gate's floor above typical
     # performance and make the gate flap.
     smoke_runs = [run_suite(SMOKE) for _ in range(3)]
     smoke = {k: sorted(r[k] for r in smoke_runs)[1] for k in METRICS}
-    print_table(full, calibration, "full workload")
     print_table(smoke, calibration, "smoke workload (median of 3)")
 
-    baseline = None
-    if args.baseline_json:
-        baseline_doc = json.loads(Path(args.baseline_json).read_text())
-        baseline = baseline_doc["results"]
-        baseline_cal = baseline_doc["calibration"]
-
-    entry = {
-        "pr": args.pr,
-        "label": args.label,
+    row = {
         "calibration": calibration,
         "full": full,
         "full_normalized": normalized(full, calibration),
         "smoke": smoke,
         "smoke_normalized": normalized(smoke, calibration),
     }
-    if baseline is not None:
+    if args.label:
+        row["label"] = args.label
+    baseline = None
+    if args.baseline_json:
+        baseline_doc = json.loads(Path(args.baseline_json).read_text())
+        baseline = baseline_doc["results"]
         speedups = {k: full[k] / baseline[k] for k in METRICS}
-        entry["baseline_full"] = baseline
-        entry["baseline_calibration"] = baseline_cal
-        entry["speedup"] = speedups
-        entry["aggregate_speedup"] = geomean(speedups.values())
+        row["baseline_full"] = baseline
+        row["baseline_calibration"] = baseline_doc["calibration"]
+        row["speedup"] = speedups
+        row["aggregate_speedup"] = geomean(speedups.values())
+    gate.record(args.pr, row=row)
 
-    if PERF_PATH.exists():
-        doc = json.loads(PERF_PATH.read_text())
-    else:
-        doc = {"schema": 1, "note": "performance trajectory; one entry per "
-                                    "perf-relevant PR (append, don't rewrite)",
-               "trajectory": []}
-    doc["trajectory"] = [e for e in doc["trajectory"] if e.get("pr") != args.pr]
-    doc["trajectory"].append(entry)
-    PERF_PATH.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {PERF_PATH}")
-
-    lines = [f"kernel/stream/codec throughput — {args.label}",
+    label = args.label or f"PR {args.pr}"
+    lines = [f"kernel/stream/codec throughput — {label}",
              f"calibration: {calibration:,.0f} loop-iters/s", ""]
     for name in METRICS:
         line = f"{name:<24} {full[name]:>14,.0f}/s"
@@ -347,10 +325,8 @@ def cmd_update(args) -> int:
         lines.append(line)
     if baseline is not None:
         lines.append(f"aggregate speedup (geomean): "
-                     f"{entry['aggregate_speedup']:.2f}x")
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(lines) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+                     f"{row['aggregate_speedup']:.2f}x")
+    gate.write_result("kernel_throughput", "\n".join(lines))
     return 0
 
 
@@ -358,20 +334,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate vs committed BENCH_PERF.json")
-    parser.add_argument("--smoke-sizes", action="store_true",
-                        help="plain run with the smoke workload sizes")
     parser.add_argument("--update", action="store_true",
-                        help="write BENCH_PERF.json + results file")
+                        help="merge PR --pr's BENCH_PERF.json row + results file")
     parser.add_argument("--baseline-json", default=None,
                         help="pre-optimization --json dump to record as baseline")
     parser.add_argument("--json", default=None, help="dump raw results to file")
-    parser.add_argument("--pr", type=int, default=9)
-    parser.add_argument("--label", default="PR 9 vectorized herd simulation")
+    parser.add_argument("--pr", type=int, default=None,
+                        help="trajectory row --update records into (required)")
+    parser.add_argument("--label", default=None,
+                        help="label for the trajectory row")
     args = parser.parse_args(argv)
     if args.smoke:
-        return cmd_smoke(args)
-    if args.update:
-        return cmd_update(args)
+        return cmd_smoke()
+    if args.update and args.pr is None:
+        parser.error("--update needs --pr N")
     return cmd_run(args)
 
 

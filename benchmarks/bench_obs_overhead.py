@@ -62,14 +62,15 @@ def run_pipeline(encoded) -> int:
     return len(window.presented)
 
 
-def best_of(repeats, fn) -> float:
-    """Minimum wall time over ``repeats`` runs (noise-robust)."""
+def best_of(repeats, fn, expected) -> float:
+    """Minimum wall time over ``repeats`` runs of ``fn`` (noise-robust);
+    every run must return ``expected``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        frames = fn()
+        got = fn()
         elapsed = time.perf_counter() - start
-        assert frames == FRAMES
+        assert got == expected
         best = min(best, elapsed)
     return best
 
@@ -90,9 +91,9 @@ def test_obs_overhead_within_budget(exhibit):
 
     # Warm-up (imports, JIT-ish caches) then interleaved best-of-N.
     run_disabled(), run_default(), run_traced()
-    base = best_of(REPEATS, run_disabled)
-    default = best_of(REPEATS, run_default)
-    traced = best_of(REPEATS, run_traced)
+    base = best_of(REPEATS, run_disabled, FRAMES)
+    default = best_of(REPEATS, run_default, FRAMES)
+    traced = best_of(REPEATS, run_traced, FRAMES)
 
     metrics_overhead = default / base - 1
     tracing_overhead = traced / base - 1
@@ -186,19 +187,9 @@ def test_watch_overhead_within_budget(exhibit):
     for fn in (run_null, run_default, run_watched):  # warm-up
         assert fn() == ELEMENTS
 
-    def best(fn) -> float:
-        best_dt = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            got = fn()
-            elapsed = time.perf_counter() - start
-            assert got == ELEMENTS
-            best_dt = min(best_dt, elapsed)
-        return best_dt
-
-    base = best(run_null)
-    default = best(run_default)
-    watched = best(run_watched)
+    base = best_of(REPEATS, run_null, ELEMENTS)
+    default = best_of(REPEATS, run_default, ELEMENTS)
+    watched = best_of(REPEATS, run_watched, ELEMENTS)
 
     metrics_overhead = default / base - 1
     watch_overhead = watched / base - 1

@@ -8,11 +8,8 @@ numbers, each bench prints the regenerated exhibit and saves it under
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from gate import write_result
 
 
 @pytest.fixture
@@ -20,9 +17,7 @@ def exhibit():
     """Report one exhibit: print it and persist it to results/."""
 
     def _report(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n")
+        write_result(name, text)
         print(f"\n===== {name} =====")
         print(text)
 
