@@ -157,6 +157,13 @@ class AdmissionController:
         self.name = name
         self._seq = itertools.count(1)
         self._queue: List[Tuple[Tuple[int, int], _Pending]] = []
+        # The same entries keyed worst-first, (-priority, -seq), so the
+        # displacement victim — the newest entry of the lowest priority
+        # — is the top.  Cancelled and granted entries are popped lazily
+        # and the heap is compacted on every depth change (see
+        # _publish_depth) so stale entries do not pin their events and,
+        # through them, finished processes.
+        self._victims: List[Tuple[Tuple[int, int], _Pending]] = []
         # Live (non-cancelled) queued entries, maintained incrementally
         # so queue_depth is O(1) — it is published on every queue
         # transition, which made the O(n) scan quadratic under load.
@@ -435,7 +442,9 @@ class AdmissionController:
         entry = _Pending(contract, label, next(self._seq),
                          self.simulator.event(f"admit:{label}"),
                          self.simulator.now.seconds)
-        heapq.heappush(self._queue, (entry.sort_key, entry))
+        priority, seq = entry.sort_key
+        heapq.heappush(self._queue, ((priority, seq), entry))
+        heapq.heappush(self._victims, ((-priority, -seq), entry))
         self._live_queued += 1
         self._m_queued.inc()
         if self._decisions.enabled:
@@ -446,13 +455,18 @@ class AdmissionController:
         try:
             payload = yield Timeout(entry.event, contract.queue_timeout_s)
         except DeadlineExceeded:
+            # A displaced entry whose deadline fires in the displacement
+            # tick was already taken off the queue depth.
+            queued = not entry.cancelled
             entry.cancelled = True
-            self._live_queued -= 1
-            self._publish_depth()
             if entry.granted is not None:
                 # Granted in the same tick the deadline fired (the timer
-                # wins ties): give the bandwidth straight back.
+                # wins ties): the pump already took the entry off the
+                # queue depth, so just give the bandwidth straight back.
                 entry.granted.release()
+            elif queued:
+                self._live_queued -= 1
+                self._publish_depth()
             self._m_timeouts.inc()
             if self._decisions.enabled:
                 self._decisions.emit("queue-timeout", label, actor=self.name,
@@ -478,11 +492,7 @@ class AdmissionController:
         """Bounded queue: shed the worst queued entry or refuse this one."""
         if self.queue_depth < self.max_queue:
             return
-        worst = max(
-            (e for _, e in self._queue if not e.cancelled),
-            key=lambda e: e.sort_key,
-            default=None,
-        )
+        worst = self._victim()
         if worst is not None and int(worst.contract.priority) > int(contract.priority):
             # A strictly lower-priority request waits in the queue: shed
             # it to make room (lowest-priority work goes first).
@@ -501,8 +511,25 @@ class AdmissionController:
             f"({self.max_queue} waiting); backpressure"
         )
 
+    def _victim(self) -> Optional[_Pending]:
+        """The newest live entry of the lowest queued priority, or None."""
+        victims = self._victims
+        while victims:
+            entry = victims[0][1]
+            if not entry.cancelled and entry.granted is None:
+                return entry
+            heapq.heappop(victims)  # cancelled, or granted by the pump
+        return None
+
     def _publish_depth(self) -> None:
         depth = self.queue_depth
+        # Compact the victim heap once stale entries outnumber live ones
+        # (at depth 0 that empties it).
+        if len(self._victims) > 2 * depth:
+            self._victims = [item for item in self._victims
+                             if not item[1].cancelled
+                             and item[1].granted is None]
+            heapq.heapify(self._victims)
         self._m_queue_depth.set(depth)
         self._m_queue_depth_h.observe(depth)
 

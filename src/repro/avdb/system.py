@@ -24,6 +24,7 @@ import itertools
 from typing import Optional
 
 from repro.activities import ActivityGraph, CompositeActivity, Location, MultiSource
+from repro.activities.base import _next_activity_ordinal
 from repro.activities.library import (
     AudioReader,
     TextReader,
@@ -165,9 +166,13 @@ class AVDatabaseSystem:
             return digitizer
         if isinstance(value, EncodedVideoValue) and deliver == "raw":
             # Dynamic configuration: reader + decoder inside one composite.
+            # An unnamed one takes the simulator's activity ordinal, like
+            # every default activity name, so two never collide.
+            if not name:
+                name = (f"source-{value.media_type.encoding}"
+                        f"-{_next_activity_ordinal(self.simulator)}")
             composite = CompositeActivity(
-                self.simulator, name=name or f"source-{value.media_type.encoding}",
-                location=Location.DATABASE,
+                self.simulator, name=name, location=Location.DATABASE,
             )
             reader = VideoReader(
                 self.simulator, name=f"{composite.name}.read",

@@ -21,6 +21,14 @@ re-insert old bytes after it.  The watch layer's cache-coherence probe
 re-derives exactly this: no resident block's tag may differ from its
 placement's current version.
 
+Per-key index
+-------------
+Blocks are stored per key (key -> {block index -> tag}), so
+:meth:`BlockCache.versions_of` and :meth:`BlockCache.invalidate` walk
+only that key's blocks, and the coherence probe visits
+:meth:`BlockCache.resident_keys` instead of rescanning every block per
+placement.
+
 Bytes are modelled, not moved: :func:`content_stamp` derives the
 digest of a block deterministically from ``(key, version, index)``, so
 "byte-identical through cold/warm/evicted paths" is testable — a cache
@@ -69,8 +77,8 @@ class BlockCache:
         self.block_bytes = block_bytes
         self.policy = policy if policy is not None else LRUPolicy()
         self.bytes_used = 0
-        #: (key, block index) -> version tag
-        self._blocks: Dict[BlockId, int] = {}
+        #: key -> {block index -> version tag}; only resident keys.
+        self._keys: Dict[str, Dict[int, int]] = {}
         #: key -> minimum version still admissible (raised by invalidate
         #: so a fill that raced a bump cannot resurrect stale bytes).
         self._floor: Dict[str, int] = {}
@@ -97,8 +105,9 @@ class BlockCache:
         """True iff every block covering the span is resident at ``version``."""
         self._m_lookups.inc()
         span = self._span(byte_off, nbytes)
+        blocks = self._keys.get(key, {})
         for index in span:
-            if self._blocks.get((key, index)) != version:
+            if blocks.get(index) != version:
                 self._m_misses.inc()
                 return False
         for index in span:
@@ -115,8 +124,9 @@ class BlockCache:
     def missing(self, key: str, byte_off: int, nbytes: int,
                 version: int) -> List[int]:
         """Block indices of the span not resident at ``version``."""
+        blocks = self._keys.get(key, {})
         return [index for index in self._span(byte_off, nbytes)
-                if self._blocks.get((key, index)) != version]
+                if blocks.get(index) != version]
 
     # -- fills ---------------------------------------------------------------
     def put(self, key: str, byte_off: int, nbytes: int,
@@ -132,17 +142,16 @@ class BlockCache:
         inserted = 0
         for index in self._span(byte_off, nbytes):
             block = (key, index)
-            old = self._blocks.get(block)
+            old = self._keys.get(key, {}).get(index)
             if old == version:
                 self.policy.touched(block)
                 continue
             if old is not None:
                 self._drop(block)
             while (self.bytes_used + self.block_bytes > self.capacity_bytes
-                   and self._blocks):
+                   and self._keys):
                 self._evict_one()
-            self._blocks[block] = version
-            self.bytes_used += self.block_bytes
+            self._add(key, index, version)
             self.policy.admitted(block, float(self.block_bytes))
             inserted += 1
         if inserted:
@@ -150,20 +159,36 @@ class BlockCache:
             self._m_bytes.set(self.bytes_used)
         return inserted
 
+    def _add(self, key: str, index: int, version: int) -> None:
+        self._keys.setdefault(key, {})[index] = version
+        self.bytes_used += self.block_bytes
+
+    def _remove(self, block: BlockId) -> None:
+        """Forget one resident block (and its key once it has none)."""
+        key, index = block
+        blocks = self._keys[key]
+        del blocks[index]
+        if not blocks:
+            del self._keys[key]
+        self.bytes_used -= self.block_bytes
+
     def _evict_one(self) -> None:
         block = self.policy.victim()
-        if block not in self._blocks:
+        if not self._holds(block):
             raise CacheError(
                 f"cache {self.name!r} policy evicted unknown block {block!r}"
             )
-        del self._blocks[block]
-        self.bytes_used -= self.block_bytes
+        self._remove(block)
         self._m_evictions.inc()
 
     def _drop(self, block: BlockId) -> None:
-        if self._blocks.pop(block, None) is not None:
-            self.bytes_used -= self.block_bytes
+        if self._holds(block):
+            self._remove(block)
             self.policy.forgot(block)
+
+    def _holds(self, block: BlockId) -> bool:
+        key, index = block
+        return index in self._keys.get(key, ())
 
     # -- invalidation --------------------------------------------------------
     def invalidate(self, key: str, min_version: int) -> int:
@@ -173,32 +198,38 @@ class BlockCache:
         refused.  Returns the number of blocks dropped.
         """
         self._floor[key] = max(self._floor.get(key, 0), min_version)
-        stale = [block for block, tag in self._blocks.items()
-                 if block[0] == key and tag < min_version]
-        for block in stale:
-            self._drop(block)
+        stale = [index for index, tag in self._keys.get(key, {}).items()
+                 if tag < min_version]
+        for index in stale:
+            self._drop((key, index))
         if stale:
             self._m_invalidations.inc(len(stale))
             self._m_bytes.set(self.bytes_used)
         return len(stale)
 
     def clear(self) -> None:
-        for block in list(self._blocks):
+        for block, _ in self.resident():
             self._drop(block)
         self._m_bytes.set(self.bytes_used)
 
     # -- introspection (watch probes, tests) ---------------------------------
     @property
     def resident_blocks(self) -> int:
-        return len(self._blocks)
+        return self.bytes_used // self.block_bytes
 
     def resident(self) -> Iterable[Tuple[BlockId, int]]:
         """(block, version-tag) pairs, deterministic order."""
-        return sorted(self._blocks.items())
+        return sorted(((key, index), tag)
+                      for key, blocks in self._keys.items()
+                      for index, tag in blocks.items())
+
+    def resident_keys(self) -> List[str]:
+        """Keys with at least one resident block, sorted."""
+        return sorted(self._keys)
 
     def versions_of(self, key: str) -> List[int]:
-        return sorted({tag for block, tag in self._blocks.items()
-                       if block[0] == key})
+        """Distinct version tags of ``key``'s resident blocks, sorted."""
+        return sorted(set(self._keys.get(key, {}).values()))
 
     def __repr__(self) -> str:
         return (f"BlockCache({self.name!r}, "

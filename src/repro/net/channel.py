@@ -144,6 +144,11 @@ class Channel:
         self.latency_s = latency_s
         self.name = name
         self._reservations: Dict[int, Reservation] = {}
+        #: ``sum()`` of the registered rates, recomputed whenever the set
+        #: changes (reserve, release) so reads cost O(1) and always equal
+        #: a fresh ``sum()`` — a ``+=``/``-=`` running total would drift
+        #: from it for non-integral rates.  Starts as ``sum(())``, int 0.
+        self._reserved_bps: float = 0
         self.total_bits = 0
         self.admission_failures = 0
         #: fault-injection hook: a :class:`repro.faults.injector.ChannelFaults`
@@ -176,7 +181,7 @@ class Channel:
     # -- admission control ---------------------------------------------------
     @property
     def reserved_bps(self) -> float:
-        return sum(r.bps for r in self._reservations.values())
+        return self._reserved_bps
 
     @property
     def available_bps(self) -> float:
@@ -195,12 +200,17 @@ class Channel:
             )
         reservation = Reservation(self, bps, label)
         self._reservations[reservation.id] = reservation
-        self._m_utilization.set(self.reserved_bps / self.capacity_bps)
+        self._resum()
+        self._m_utilization.set(self._reserved_bps / self.capacity_bps)
         return reservation
 
     def _release(self, reservation: Reservation) -> None:
-        self._reservations.pop(reservation.id, None)
-        self._m_utilization.set(self.reserved_bps / self.capacity_bps)
+        if self._reservations.pop(reservation.id, None) is not None:
+            self._resum()
+        self._m_utilization.set(self._reserved_bps / self.capacity_bps)
+
+    def _resum(self) -> None:
+        self._reserved_bps = sum(r.bps for r in self._reservations.values())
 
     def _account(self, bits: int) -> None:
         self.total_bits += bits

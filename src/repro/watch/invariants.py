@@ -7,10 +7,12 @@ admission controllers, a cluster — and re-derives each component's
 conservation law from its internal state:
 
 * **reservation conservation** — a channel's registered reservations are
-  all live (none released), and their sum never exceeds capacity;
+  all live (none released), their sum never exceeds capacity, and the
+  channel's cached ``reserved_bps`` equals a fresh sum exactly;
 * **controller consistency** — every grant an admission controller
-  thinks it holds is live and registered on its channel, and its O(1)
-  queue-depth mirror matches the actual queue;
+  thinks it holds is live and registered on its channel, its O(1)
+  queue-depth mirror matches the actual queue, and its displacement
+  victim heap holds exactly the queue's live entries;
 * **extent wholeness** — an allocator's free ranges are sorted, disjoint
   and, together with the allocated extents, exactly partition the
   device;
@@ -143,6 +145,14 @@ class InvariantMonitor:
                     {"leaked": sorted(r.label for r in leaked),
                      "reserved_bps": channel.reserved_bps,
                      "capacity_bps": channel.capacity_bps}))
+            cached = channel._reserved_bps
+            summed = sum(r.bps for r in channel._reservations.values())
+            if cached != summed:
+                out.append(Breach(
+                    "reservation-conservation", channel.name,
+                    f"cached reserved {cached!r} b/s != {summed!r} b/s "
+                    f"summed over its reservations", self._now(),
+                    {"cached_bps": cached, "summed_bps": summed}))
             if channel.reserved_bps > channel.capacity_bps + _EPS:
                 out.append(Breach(
                     "reservation-conservation", channel.name,
@@ -161,13 +171,22 @@ class InvariantMonitor:
                     f"{len(stale)} held grant(s) no longer live on "
                     f"{controller.channel.name!r}", self._now(),
                     {"stale": sorted(stale)}))
-            actual = sum(1 for _, e in controller._queue if not e.cancelled)
+            queued = {e.seq for _, e in controller._queue if not e.cancelled}
+            actual = len(queued)
             if actual != controller.queue_depth:
                 out.append(Breach(
                     "controller-consistency", controller.name,
                     f"queue-depth mirror {controller.queue_depth} != "
                     f"{actual} live queued entries", self._now(),
                     {"mirror": controller.queue_depth, "actual": actual}))
+            victims = {e.seq for _, e in controller._victims
+                       if not e.cancelled and e.granted is None}
+            if victims != queued:
+                out.append(Breach(
+                    "controller-consistency", controller.name,
+                    f"victim heap holds {len(victims)} live entries, the "
+                    f"queue {actual}", self._now(),
+                    {"victims": sorted(victims), "queued": sorted(queued)}))
 
     def _probe_extents(self, out: List[Breach]) -> None:
         for allocator in self._allocators:
@@ -280,17 +299,21 @@ class InvariantMonitor:
     def _probe_cache_coherence(self, out: List[Breach]) -> None:
         if self._tier is None or self._cluster is None:
             return
-        stale: Dict[str, List[str]] = {}
+        versions: Dict[str, int] = {}
         for placement in self._cluster.placements:
-            version = placement.version
-            keys = {placement.key} | {s.key for s in placement.shards}
-            for cache in self._tier.all_caches:
-                for key in sorted(keys):
-                    tags = [tag for tag in cache.versions_of(key)
-                            if tag != version]
-                    if tags:
-                        stale.setdefault(cache.name, []).append(
-                            f"{key}@{tags}")
+            versions[placement.key] = placement.version
+            for shard in placement.shards:
+                versions[shard.key] = placement.version
+        stale: Dict[str, List[str]] = {}
+        for cache in self._tier.all_caches:
+            for key in cache.resident_keys():
+                version = versions.get(key)
+                if version is None:
+                    continue
+                tags = [tag for tag in cache.versions_of(key)
+                        if tag != version]
+                if tags:
+                    stale.setdefault(cache.name, []).append(f"{key}@{tags}")
         if stale:
             out.append(Breach(
                 "cache-coherence", "cache",

@@ -9,6 +9,7 @@ metadata load.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.admission import (
     AdmissionController,
@@ -239,6 +240,131 @@ class TestControllerPolicy:
         sim.run()
         assert outcomes["first"] == "timeout"
         assert "backpressure" in outcomes["second"]
+
+
+def _checked_victims(ctrl):
+    """Check each of the controller's victim lookups against the
+    reference ``max()`` scan over the live queue; return the picks."""
+    lookup = ctrl._victim
+    picks = []
+
+    def checked():
+        live = [e for _, e in ctrl._queue if not e.cancelled]
+        expected = max(live, key=lambda e: e.sort_key, default=None)
+        got = lookup()
+        assert got is expected
+        picks.append(got)
+        return got
+
+    ctrl._victim = checked
+    return picks
+
+
+_ARRIVALS = st.lists(st.tuples(
+    st.integers(0, 20),                   # arrival, tenths of a second
+    st.sampled_from(list(Priority)),
+    st.integers(1, 6),                    # rate, tenths of the trunk
+    st.sampled_from([0.0, 0.3, 1.0]),     # queue timeout
+    st.integers(1, 10),                   # hold time, tenths of a second
+), max_size=30)
+
+
+class TestVictimLookup:
+    """Queue displacement picks what ``max()`` over the live queue picks."""
+
+    def test_newest_lowest_priority_entry_is_displaced(self):
+        sim, trunk, ctrl = make_controller(1.0, max_queue=3)
+        # 80% held: under the shed watermark, so background work queues.
+        ctrl.try_admit(QoSContract(0.8 * MBPS), label="holder")
+        displaced = _checked_victims(ctrl)
+        outcomes = {}
+
+        def waiter(label, priority, delay):
+            yield Delay(delay)
+            try:
+                yield from ctrl.admit(QoSContract(
+                    0.5 * MBPS, priority, queue_timeout_s=1.0), label)
+                outcomes[label] = "granted"
+            except AdmissionError as error:
+                outcomes[label] = type(error).__name__
+
+        for i, (label, priority) in enumerate([
+                ("bg-old", Priority.BACKGROUND), ("std", Priority.STANDARD),
+                ("bg-new", Priority.BACKGROUND), ("urgent", Priority.INTERACTIVE),
+                ("late-std", Priority.STANDARD)]):
+            sim.spawn(waiter(label, priority, 0.01 * i), label)
+        sim.run()
+        assert [e.label for e in displaced] == ["bg-new", "bg-old"]
+        assert outcomes["bg-new"] == outcomes["bg-old"] == "AdmissionError"
+        assert ctrl._victims == []
+
+    def test_grant_in_the_deadline_tick_leaves_depth_at_zero(self):
+        sim, trunk, ctrl = make_controller(1.0)
+        holder = ctrl.try_admit(QoSContract(MBPS), label="holder")
+        outcomes = []
+
+        def waiter():
+            yield Delay(0.1)
+            try:
+                yield from ctrl.admit(
+                    QoSContract(MBPS, queue_timeout_s=0.0), "w")
+            except AdmissionTimeoutError:
+                outcomes.append("timeout")
+
+        def releaser():
+            yield Delay(0.1)
+            holder.release()  # the pump grants "w" as its timer fires
+
+        sim.spawn(waiter())
+        sim.spawn(releaser())
+        sim.run()
+        assert outcomes == ["timeout"]
+        assert ctrl.queue_depth == 0
+        assert trunk.reserved_bps == 0
+
+    def test_displacement_in_the_deadline_tick_leaves_depth_at_zero(self):
+        sim, trunk, ctrl = make_controller(1.0, max_queue=1)
+        ctrl.try_admit(QoSContract(0.8 * MBPS), label="holder")
+        outcomes = {}
+
+        def waiter(label, priority):
+            try:
+                yield from ctrl.admit(QoSContract(
+                    0.5 * MBPS, priority, queue_timeout_s=0.0), label)
+            except AdmissionError as error:
+                outcomes[label] = type(error).__name__
+
+        # "std" queues; "urgent" displaces it in the tick its deadline
+        # fires, so both the shed and the timer reach it.
+        sim.spawn(waiter("std", Priority.STANDARD))
+        sim.spawn(waiter("urgent", Priority.INTERACTIVE))
+        sim.run()
+        assert outcomes == {"std": "AdmissionTimeoutError",
+                            "urgent": "AdmissionTimeoutError"}
+        assert ctrl.queue_depth == 0 and ctrl._victims == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(max_queue=st.integers(3, 5), arrivals=_ARRIVALS)
+    def test_displacement_matches_reference_max(self, max_queue, arrivals):
+        sim, trunk, ctrl = make_controller(1.0, max_queue=max_queue)
+        _checked_victims(ctrl)
+
+        def client(at, priority, rate, timeout, hold):
+            yield Delay(at / 10)
+            try:
+                reservation = yield from ctrl.admit(QoSContract(
+                    rate * MBPS / 10, priority, queue_timeout_s=timeout),
+                    f"c-{at}")
+            except AdmissionError:
+                return
+            yield Delay(hold / 10)
+            reservation.release()
+
+        for arrival in arrivals:
+            sim.spawn(client(*arrival))
+        sim.run()
+        # Compaction leaves no stale entries once the queue drains.
+        assert ctrl.queue_depth == 0 and ctrl._victims == []
 
 
 class TestDeviceAdmission:

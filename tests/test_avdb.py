@@ -36,6 +36,22 @@ class TestDynamicSourceConfiguration:
             {"read", "decode"}
         assert source.port("out").media_type.name == "video/raw"
 
+    def test_unnamed_raw_sources_do_not_collide(self, system):
+        encoded = JPEGCodec(75).encode_value(moving_scene(3))
+        first = system.make_source(encoded, deliver="raw")
+        second = system.make_source(encoded, deliver="raw")
+        assert first.name != second.name
+        assert first.name.startswith("source-jpeg-")
+        assert second.name.startswith("source-jpeg-")
+        assert {first.name, second.name} <= set(system.graph.activities)
+
+    def test_named_raw_source_keeps_its_name(self, system):
+        encoded = JPEGCodec(75).encode_value(moving_scene(3))
+        source = system.make_source(encoded, deliver="raw", name="db-video")
+        assert source.name == "db-video"
+        assert {a.name for a in source.components.values()} == \
+            {"db-video.read", "db-video.decode"}
+
     def test_encoded_value_delivered_stored_stays_compressed(self, system):
         encoded = JPEGCodec(75).encode_value(moving_scene(5))
         source = system.make_source(encoded, deliver="stored")

@@ -1,6 +1,7 @@
 """Cache tier: policies, block cache, edge streams, hot boost, scenarios."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     BlockCache,
@@ -16,7 +17,7 @@ from repro.cluster import ClusterPlacementManager, StorageNode
 from repro.cluster.scenarios import Blob
 from repro.errors import CacheError
 from repro.obs import scoped
-from repro.sim import Delay
+from repro.sim import Delay, Simulator
 from repro.watch.invariants import InvariantMonitor
 
 
@@ -125,6 +126,46 @@ class TestBlockCache:
     def test_content_stamp_is_version_sensitive(self):
         assert content_stamp("k", 0, 0) != content_stamp("k", 1, 0)
         assert content_stamp("k", 0, 0) == content_stamp("k", 0, 0)
+
+
+_CACHE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from("abc"),
+              st.integers(0, 5), st.integers(1, 3), st.integers(0, 3)),
+    st.tuples(st.just("invalidate"), st.sampled_from("abc"),
+              st.integers(0, 4)),
+    st.tuples(st.just("clear")),
+), max_size=40)
+
+
+class TestKeyIndex:
+    """The per-key block index against a rebuild from ``resident()``."""
+
+    @pytest.mark.parametrize("policy", ["lru", "cost-aware"])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_CACHE_OPS)
+    def test_index_matches_brute_force(self, policy, ops):
+        block = 30_000
+        cache = BlockCache(Simulator(), "c", capacity_bytes=5 * block,
+                           block_bytes=block, policy=make_policy(policy))
+        for op in ops:
+            before = list(cache.resident())
+            if op[0] == "put":
+                _, key, first, count, version = op
+                cache.put(key, first * block, count * block, version)
+            elif op[0] == "invalidate":
+                _, key, min_version = op
+                dropped = cache.invalidate(key, min_version)
+                assert dropped == sum(1 for (k, _), tag in before
+                                      if k == key and tag < min_version)
+            else:
+                cache.clear()
+            resident = list(cache.resident())
+            assert cache.resident_keys() == sorted({k for (k, _), _ in resident})
+            for key in "abc":
+                assert cache.versions_of(key) == sorted(
+                    {tag for (k, _), tag in resident if k == key})
+            assert cache.resident_blocks == len(resident)
+            assert cache.bytes_used == block * len(resident)
 
 
 class TestEdgeStreams:

@@ -1,9 +1,11 @@
 """Network channels: admission control, transfer timing, accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AdmissionError
 from repro.net import Channel
+from repro.sim import Simulator
 
 
 class TestAdmission:
@@ -36,6 +38,39 @@ class TestAdmission:
             channel.reserve(0)
         with pytest.raises(AdmissionError):
             channel.reserve(-5)
+
+    def test_reserved_sum_is_not_a_running_total(self, sim):
+        channel = Channel(sim, capacity_bps=1.0)
+        first = channel.reserve(0.1)
+        channel.reserve(0.2)
+        first.release()
+        # A running total would read (0.1 + 0.2) - 0.1 = 0.20000000000000004.
+        assert channel.reserved_bps == 0.2
+        channel.reserve(0.1)
+        channel.reserve(0.3)
+        # sum() is compensated since Python 3.12: it gives 0.6 there,
+        # while (0.2 + 0.1) + 0.3 is 0.6000000000000001 on every version.
+        assert channel.reserved_bps == sum([0.2, 0.1, 0.3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("reserve"),
+                  st.floats(0.001, 50.0, allow_nan=False)),
+        st.tuples(st.just("release"), st.integers(0, 30)),
+    ), max_size=60))
+    def test_reserved_sum_equals_fresh_sum(self, ops):
+        channel = Channel(Simulator(), capacity_bps=1000.0)
+        held = []
+        for op, arg in ops:
+            if op == "reserve":
+                try:
+                    held.append(channel.reserve(arg))
+                except AdmissionError:
+                    pass
+            elif held:
+                held.pop(arg % len(held)).release()
+            assert channel.reserved_bps == sum(
+                r.bps for r in channel._reservations.values())
 
     def test_invalid_channel_parameters(self, sim):
         with pytest.raises(AdmissionError):

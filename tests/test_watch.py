@@ -147,6 +147,34 @@ class TestInvariantMonitor:
         breaches = monitor.check_now()
         assert any(b.invariant == "controller-consistency" for b in breaches)
 
+    def test_cached_reservation_sum_corruption_is_caught(self):
+        sim, trunk, controller, monitor = self._stack()
+        controller.try_admit(QoSContract(500_000.0), label="s-1")
+        assert monitor.check_now() == []
+        trunk._reserved_bps += 1.0  # corrupt the cached sum
+        breaches = monitor.check_now()
+        assert [b.invariant for b in breaches] == ["reservation-conservation"]
+        assert breaches[0].evidence == {"cached_bps": 500_001.0,
+                                        "summed_bps": 500_000.0}
+
+    def test_victim_heap_corruption_is_caught(self):
+        sim, trunk, controller, monitor = self._stack()
+        controller.try_admit(QoSContract(1_000_000.0), label="holder")
+
+        def waiter():
+            yield from controller.admit(
+                QoSContract(500_000.0, queue_timeout_s=10.0), label="w")
+
+        sim.spawn(waiter(), "waiter")
+        sim.run(until=WorldTime(0.1))
+        assert controller.queue_depth == 1
+        assert monitor.check_now() == []
+        controller._victims.clear()  # drop the live entry from the heap
+        breaches = monitor.check_now()
+        assert [b.invariant for b in breaches] == ["controller-consistency"]
+        assert "victim heap" in breaches[0].detail
+        assert breaches[0].evidence["victims"] == []
+
     def test_extent_wholeness(self):
         from repro.storage.extents import ExtentAllocator
 
