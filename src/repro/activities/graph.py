@@ -8,6 +8,7 @@ cycles) and runs the whole configuration on the DES kernel.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Set
 
 from repro.activities.base import ActivityState, MediaActivity
@@ -25,7 +26,15 @@ class ActivityGraph:
         self.simulator = simulator
         self.name = name
         self.activities: Dict[str, MediaActivity] = {}
-        self.connections: List[Connection] = []
+        #: live connections in the order they were made, each mapped to
+        #: its insertion rank (a dict: O(1) membership and deletion).
+        self._connections: Dict[Connection, int] = {}
+        self._ranks = itertools.count()
+
+    @property
+    def connections(self) -> List[Connection]:
+        """The live connections, in the order they were made."""
+        return list(self._connections)
 
     # -- construction ------------------------------------------------------
     def add(self, activity: MediaActivity) -> MediaActivity:
@@ -38,9 +47,15 @@ class ActivityGraph:
         """Remove a top-level activity and tear down its connections.
 
         Connections touching the activity (or any component of it, for a
-        composite) are disconnected, which releases their channel
-        reservations.  Sessions call this on close so a long-lived system
-        does not accrete dead activities (the churn test pins this down).
+        composite) are disconnected, in the order they were made, which
+        releases their channel reservations.  Sessions call this on close
+        so a long-lived system does not accrete dead activities (the churn
+        test pins this down).
+
+        The connections are found through the members' own ports (a
+        connection links the concrete ports it attaches to until it is
+        disconnected), so the cost is the size of ``activity``, not of
+        the graph.
         """
         registered = self.activities.get(activity.name)
         if registered is not activity:
@@ -48,22 +63,24 @@ class ActivityGraph:
                 f"activity {activity.name!r} is not in graph {self.name!r}"
             )
         del self.activities[activity.name]
-        members = {id(a) for a in self._flatten(activity)}
-        survivors: List[Connection] = []
-        for connection in self.connections:
-            if (id(connection.source.owner) in members
-                    or id(connection.sink.owner) in members):
-                connection.disconnect()
-            else:
-                survivors.append(connection)
-        self.connections = survivors
+        doomed: Dict[Connection, int] = {}
+        for member in self._flatten(activity):
+            for port in member.ports.values():
+                rank = self._connections.get(port.connection)
+                if rank is not None:
+                    doomed[port.connection] = rank
+        for connection in sorted(doomed, key=doomed.__getitem__):
+            del self._connections[connection]
+            connection.disconnect()
 
     def connect(self, source: Port, sink: Port, capacity: int = 8,
                 reservation=None) -> Connection:
         """Create a type-checked connection between two ports.
 
         Both owning activities must already be in the graph (composites
-        count through their exported ports).
+        count through their exported ports).  A top-level owner is found
+        by identity in O(1); only a component nested in a composite costs
+        a scan.
         """
         for port in (source, sink):
             owner = port.owner
@@ -73,7 +90,7 @@ class ActivityGraph:
                     f"in graph {self.name!r}"
                 )
         connection = Connection(self.simulator, source, sink, capacity, reservation)
-        self.connections.append(connection)
+        self._connections[connection] = next(self._ranks)
         return connection
 
     def connect_composites(self, source: CompositeActivity, sink: CompositeActivity,
@@ -135,6 +152,8 @@ class ActivityGraph:
         return result
 
     def _contains_activity(self, activity: MediaActivity) -> bool:
+        if self.activities.get(activity.name) is activity:
+            return True
         for member in self.activities.values():
             if any(a is activity for a in self._flatten(member)):
                 return True
@@ -168,7 +187,7 @@ class ActivityGraph:
 
     def _check_acyclic(self) -> None:
         edges: Dict[str, Set[str]] = {}
-        for connection in self.connections:
+        for connection in self._connections:
             src = connection.source.owner.name
             dst = connection.sink.owner.name
             edges.setdefault(src, set()).add(dst)
@@ -212,7 +231,7 @@ class ActivityGraph:
 
     # -- accounting ----------------------------------------------------------
     def total_bits_sent(self) -> int:
-        return sum(c.bits_sent for c in self.connections)
+        return sum(c.bits_sent for c in self._connections)
 
     # -- the paper's graphical notation -------------------------------------
     def render_ascii(self) -> str:
@@ -231,7 +250,7 @@ class ActivityGraph:
                 lines.append(f"[{activity.name}: {inner}]  ({activity.kind.value})")
             else:
                 lines.append(f"[{activity.name}]  ({activity.kind.value})")
-        for connection in self.connections:
+        for connection in self._connections:
             media = connection.source.media_type.name
             lines.append(
                 f"  [{connection.source.owner.name}] --{media}--> "
@@ -242,5 +261,5 @@ class ActivityGraph:
     def __repr__(self) -> str:
         return (
             f"ActivityGraph({self.name!r}, {len(self.activities)} activities, "
-            f"{len(self.connections)} connections)"
+            f"{len(self._connections)} connections)"
         )

@@ -112,14 +112,16 @@ class AVDatabaseSystem:
         ``channel_bps``; pass ``channel`` to multiplex many sessions over
         one shared trunk instead (the overload workloads do this, with an
         admission controller arbitrating the trunk — see
-        :meth:`enable_admission`).
+        :meth:`enable_admission`).  A dedicated channel is retired when
+        its session closes; a passed-in ``channel`` never is.
         """
         from repro.session.session import Session
         session_name = name or f"session-{next(_session_ids)}"
-        if channel is None:
+        owns_channel = channel is None
+        if owns_channel:
             channel = Channel(self.simulator, channel_bps, latency_s,
                               name=f"{session_name}-channel")
-        return Session(self, session_name, channel)
+        return Session(self, session_name, channel, owns_channel)
 
     def enable_admission(self, channel: Channel, **kwargs):
         """Put an admission controller in front of ``channel``.

@@ -170,13 +170,31 @@ class Channel:
         # net.bits_sent counter is settled from it by this flush hook
         # whenever the registry is read (see MetricsRegistry.flush).
         self._flushed_bits = 0
+        self._metrics = metrics
         metrics.add_flush_hook(self._flush_traffic)
+        #: set by :meth:`retire`: traffic then settles as it is accounted.
+        self._retired = False
 
     def _flush_traffic(self) -> None:
         delta = self.total_bits - self._flushed_bits
         if delta:
             self._m_bits_sent.inc(delta)
             self._flushed_bits = self.total_bits
+
+    def retire(self) -> None:
+        """Settle the traffic and drop this channel's registry flush hook.
+
+        A session calls this on close for the dedicated channel it was
+        opened with, so the registry neither keeps every closed session's
+        channel alive nor walks it on every read.  Bits accounted after
+        retirement (an element still serializing at close) settle into
+        ``net.bits_sent`` as they are accounted, so the counter stays
+        exact.
+        """
+        if not self._retired:
+            self._retired = True
+            self._flush_traffic()
+            self._metrics.remove_flush_hook(self._flush_traffic)
 
     # -- admission control ---------------------------------------------------
     @property
@@ -214,6 +232,8 @@ class Channel:
 
     def _account(self, bits: int) -> None:
         self.total_bits += bits
+        if self._retired:
+            self._flush_traffic()
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -161,11 +161,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
-        self._flush_hooks: list = []
+        # An insertion-ordered set: hooks run in registration order and
+        # a short-lived producer deregisters in O(1).
+        self._flush_hooks: Dict[object, None] = {}
 
     def add_flush_hook(self, hook) -> None:
         """Register a callable that settles batched counts on read."""
-        self._flush_hooks.append(hook)
+        self._flush_hooks[hook] = None
+
+    def remove_flush_hook(self, hook) -> None:
+        """Deregister ``hook`` (the producer has settled for good)."""
+        self._flush_hooks.pop(hook, None)
 
     def flush(self) -> None:
         """Run every flush hook (idempotent between producer updates)."""
@@ -288,6 +294,9 @@ class NullMetrics:
     """
 
     def add_flush_hook(self, hook) -> None:
+        pass
+
+    def remove_flush_hook(self, hook) -> None:
         pass
 
     def flush(self) -> None:

@@ -133,10 +133,14 @@ class Recording:
 class Session:
     """One client application's connection to the AV database."""
 
-    def __init__(self, system, name: str, channel: Channel) -> None:
+    def __init__(self, system, name: str, channel: Channel,
+                 owns_channel: bool = False) -> None:
         self.system = system
         self.name = name
         self.channel = channel
+        #: True when ``channel`` was made for this session alone; close
+        #: then retires it (a shared trunk outlives its sessions).
+        self.owns_channel = owns_channel
         self.notifications: List[Notification] = []
         self._activities: List[MediaActivity] = []
         self._leases: List = []
@@ -501,6 +505,8 @@ class Session:
                     io_stream.release()
             if graph.activities.get(activity.name) is activity:
                 graph.remove(activity)
+        if self.owns_channel:
+            self.channel.retire()
         self.closed = True
 
     def _require_open(self) -> None:

@@ -2,11 +2,13 @@
 graph validation — paper §4.2's contracts."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.activities import (
     ActivityGraph,
     ActivityKind,
     ActivityState,
+    CompositeActivity,
     Connection,
     Direction,
     EVENT_EACH_FRAME,
@@ -31,6 +33,8 @@ from repro.errors import (
     GraphError,
     PortError,
 )
+from repro.net.channel import Channel
+from repro.sim import Simulator
 from repro.values.mediatype import standard_type
 
 
@@ -272,3 +276,189 @@ class TestGraphRendering:
         graph.add(source)
         art = graph.render_ascii()
         assert "[source: [read] [decode]]" in art
+
+
+class ScanGraph:
+    """Reference membership and teardown: the whole-graph scans.
+
+    ``connect`` looks for each port owner by flattening every member;
+    ``remove`` walks every connection.  :class:`ActivityGraph` must give
+    the same answers, connection order and disconnect order.
+    """
+
+    add = ActivityGraph.add
+
+    def __init__(self, simulator, name="graph"):
+        self.simulator = simulator
+        self.name = name
+        self.activities = {}
+        self.connections = []
+
+    def _contains(self, activity):
+        return any(
+            any(a is activity for a in ActivityGraph._flatten(member))
+            for member in self.activities.values()
+        )
+
+    def connect(self, source, sink, capacity=8, reservation=None):
+        for port in (source, sink):
+            if port.owner is None or not self._contains(port.owner):
+                raise GraphError(
+                    f"port {port.full_name} does not belong to an activity "
+                    f"in graph {self.name!r}"
+                )
+        connection = Connection(self.simulator, source, sink, capacity, reservation)
+        self.connections.append(connection)
+        return connection
+
+    def remove(self, activity):
+        if self.activities.get(activity.name) is not activity:
+            raise GraphError(
+                f"activity {activity.name!r} is not in graph {self.name!r}"
+            )
+        del self.activities[activity.name]
+        members = {id(a) for a in ActivityGraph._flatten(activity)}
+        survivors = []
+        for connection in self.connections:
+            if (id(connection.source.owner) in members
+                    or id(connection.sink.owner) in members):
+                connection.disconnect()
+            else:
+                survivors.append(connection)
+        self.connections = survivors
+
+
+class GraphWorld:
+    """One graph driven by a scripted op sequence.
+
+    Ops index a pool of created activities modulo its size, so any drawn
+    sequence is meaningful.  Every connection carries a reservation
+    whose release is logged: the log is the disconnect order.
+    """
+
+    def __init__(self, graph_cls):
+        self.sim = Simulator()
+        self.graph = graph_cls(self.sim)
+        self.wire = Channel(self.sim, 1e12, name="wire")
+        self.pool = []
+        self.released = []
+        self.outcomes = []
+
+    def _leaves(self):
+        return [a for a in self.pool if not isinstance(a, CompositeActivity)]
+
+    def _composites(self):
+        return [a for a in self.pool if isinstance(a, CompositeActivity)]
+
+    def _reserve(self, label):
+        reservation = self.wire.reserve(1.0, label=label)
+        reservation.on_release = lambda r: self.released.append(r.label)
+        return reservation
+
+    def step(self, op):
+        kind, *args = op
+        leaves, composites = self._leaves(), self._composites()
+        outcome = None
+        try:
+            if kind == "tee":
+                self.pool.append(VideoTee(self.sim, name=args[0]))
+            elif kind == "composite":
+                self.pool.append(CompositeActivity(self.sim, name=args[0]))
+            elif kind == "add" and self.pool:
+                self.graph.add(self.pool[args[0] % len(self.pool)])
+            elif kind == "install" and composites and self.pool:
+                into = composites[args[0] % len(composites)]
+                component = self.pool[args[1] % len(self.pool)]
+                # A containment cycle would make flattening recurse forever.
+                if not any(a is into for a in ActivityGraph._flatten(component)):
+                    into.install(component)
+            elif kind in ("connect", "loose") and leaves:
+                source = leaves[args[0] % len(leaves)].port(f"video_out_{args[1]}")
+                sink = leaves[args[2] % len(leaves)].port("video_in")
+                label = f"{kind}-{len(self.outcomes)}"
+                if kind == "connect":
+                    self.graph.connect(source, sink,
+                                       reservation=self._reserve(label))
+                else:  # a connection made outside the graph
+                    Connection(self.sim, source, sink,
+                               reservation=self._reserve(label))
+            elif kind == "remove" and self.pool:
+                self.graph.remove(self.pool[args[0] % len(self.pool)])
+        except (GraphError, ConnectionError_, ActivityError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+        self.outcomes.append(outcome)
+
+    def wiring(self):
+        return [(c.source.full_name, c.sink.full_name)
+                for c in self.graph.connections]
+
+
+_INDEX = st.integers(0, 7)
+GRAPH_OPS = st.one_of(
+    st.tuples(st.just("tee"), st.sampled_from("abcd")),
+    st.tuples(st.just("composite"), st.sampled_from("abcd")),
+    st.tuples(st.just("add"), _INDEX),
+    st.tuples(st.just("install"), _INDEX, _INDEX),
+    st.tuples(st.just("connect"), _INDEX, st.integers(0, 1), _INDEX),
+    st.tuples(st.just("loose"), _INDEX, st.integers(0, 1), _INDEX),
+    st.tuples(st.just("remove"), _INDEX),
+)
+
+# Leaves by index: 0 = top-level "a", 1 = top-level "b", 2 = "n" nested
+# in the top-level composite "c", 3 = "x" outside the graph, 4 = an
+# impostor named "a".  Then a connection made outside the graph from a
+# member, and removals.
+MEMBERSHIP_SCRIPT = [
+    ("tee", "a"), ("tee", "b"), ("tee", "n"), ("tee", "x"), ("tee", "a"),
+    ("composite", "c"), ("add", 0), ("add", 1), ("add", 5),
+    ("install", 0, 2),
+    ("connect", 0, 0, 1),   # top-level -> top-level
+    ("connect", 2, 0, 0),   # nested -> top-level
+    ("connect", 0, 1, 2),   # top-level -> nested
+    ("connect", 3, 0, 3),   # outside the graph
+    ("connect", 4, 0, 1),   # same-named impostor
+    ("connect", 1, 0, 4),   # impostor as sink
+    ("loose", 1, 1, 3),     # b -> x, outside the graph
+    ("remove", 4),          # the impostor is not a member
+    ("remove", 5),          # the composite takes its nested links
+    ("remove", 0),
+    ("remove", 1),          # leaves b's outside connection alone
+]
+
+
+def _run_both(ops):
+    fast, scan = GraphWorld(ActivityGraph), GraphWorld(ScanGraph)
+    for op in ops:
+        fast.step(op)
+        scan.step(op)
+        assert fast.outcomes == scan.outcomes
+        assert fast.wiring() == scan.wiring()
+        assert fast.released == scan.released
+    return fast
+
+
+class TestGraphMembershipEquivalence:
+    """Identity membership on connect and port-indexed teardown on remove
+    answer exactly as the whole-graph scans did."""
+
+    def test_membership_cases(self):
+        world = _run_both(MEMBERSHIP_SCRIPT)
+        outcomes = world.outcomes
+        assert outcomes[10:13] == [None, None, None]
+        for step in (13, 14, 15):
+            assert outcomes[step][0] == "GraphError"
+            assert "does not belong" in outcomes[step][1]
+        assert outcomes[16] is None
+        assert outcomes[17][0] == "GraphError"
+        assert outcomes[18:] == [None, None, None]
+        # Removing "c" drops both links of its nested "n", in the order
+        # they were made; b's connection outside the graph survives b.
+        assert world.released == ["connect-11", "connect-12", "connect-10"]
+        assert world.graph.connections == []
+        assert world.pool[1].port("video_out_1").connected
+
+    @settings(max_examples=200, deadline=None)
+    @example(ops=MEMBERSHIP_SCRIPT)
+    @given(ops=st.lists(GRAPH_OPS, max_size=40))
+    def test_random_sequences_match_the_scans(self, ops):
+        _run_both(ops)

@@ -8,6 +8,9 @@ leak, session churn hygiene, and wait-die behaviour under concurrent
 metadata load.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from repro.admission import (
 )
 from repro.admission.scenarios import device_outage
 from repro.avdb import AVDatabaseSystem
+from repro.avtime import WorldTime
 from repro.db import AttributeSpec, ClassDef, Q
 from repro.errors import (
     AdmissionError,
@@ -584,11 +588,52 @@ class TestSessionChurn:
             system.run()
             session.close()
             assert trunk.reserved_bps == 0
+            assert not trunk._retired  # a shared trunk outlives its sessions
 
         assert len(system.graph.activities) == graph_baseline
         assert len(system.graph.connections) == connection_baseline
         assert pool.available == pool.count
         assert disk.available_bps == pytest.approx(disk.bandwidth_bps)
+
+    def test_hundred_dedicated_channels_are_retired(self):
+        """Open/stream/close 100 sessions, each on its own channel: close
+        retires the channel, so the registry's flush hooks return to
+        their baseline and no closed session's channel outlives it,
+        while ``net.bits_sent`` stays exact, including bits a session
+        closed mid-stream accounts after its close."""
+        system, video = build_system()
+        metrics = system.simulator.obs.metrics
+        hook_baseline = len(metrics._flush_hooks)
+        channels = []
+        retired = []
+        for i in range(100):
+            mid_stream = i == 50
+            # The mid-stream session's channel just fits the stream, so
+            # its sender is always part way through serializing a frame.
+            bps = video.data_rate_bps() * 1.05 if mid_stream else 100 * MBPS
+            session = system.open_session(f"own-{i}", channel_bps=bps)
+            ref = session.select_one("Clip", Q.eq("title", "shared"))
+            source = session.new_db_source((ref, "video"))
+            window = session.new_video_window(name=f"own-{i}.win")
+            session.connect(source, window).start()
+            if mid_stream:
+                system.run(system.simulator.now + WorldTime(0.1))
+                session.close()
+                bits_at_close = session.channel.total_bits
+                system.run()
+                assert session.channel.total_bits > bits_at_close
+            else:
+                system.run()
+                session.close()
+            channels.append(session.channel)
+            retired.append(weakref.ref(session.channel))
+
+        assert len(metrics._flush_hooks) == hook_baseline
+        assert metrics.get("net.bits_sent").value == sum(
+            c.total_bits for c in channels)
+        del channels, session, source, window
+        gc.collect()
+        assert [ref() for ref in retired if ref() is not None] == []
 
 
 class TestWaitDieUnderLoad:

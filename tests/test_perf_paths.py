@@ -92,6 +92,20 @@ class TestBatchedChannelAccounting:
         b._account(23)
         assert sim.obs.metrics.get("net.bits_sent").value == 123
 
+    def test_retired_channel_settles_as_it_accounts(self):
+        sim = Simulator()
+        channel = Channel(sim, capacity_bps=1e9)
+        metrics = sim.obs.metrics
+        channel._account(100)
+        channel.retire()
+        assert metrics._flush_hooks == {}
+        counter = metrics.counter("net.bits_sent")  # read without a flush
+        assert counter.value == 100
+        channel._account(7)  # e.g. a frame still serializing at close
+        assert counter.value == 107
+        channel.retire()
+        assert metrics.get("net.bits_sent").value == channel.total_bits == 107
+
 
 class TestHeapCSCAN:
     @staticmethod
